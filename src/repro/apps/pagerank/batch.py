@@ -34,6 +34,7 @@ from repro.ebsp.job import BatchComputeContext, Compute, ComputeContext, Job
 from repro.ebsp.loaders import Loader, TableScanLoader
 from repro.ebsp.results import JobResult
 from repro.ebsp.runner import run_job
+from repro.ebsp.transport import stable_order
 from repro.errors import JobError
 from repro.kvstore.api import KVStore
 from repro.apps.pagerank.common import PageRankConfig
@@ -117,21 +118,17 @@ class _BatchPageRankCompute(Compute):
         self, ctx: BatchComputeContext, keys: Any
     ) -> Tuple[np.ndarray, np.ndarray]:
         """The batch's out-edges as CSR columns: (targets, out_degrees)."""
-        try:
-            keys64 = np.asarray(
-                keys.tolist() if isinstance(keys, np.ndarray) else keys,
-                dtype=np.int64,
-            )
-            cache_key: Optional[bytes] = keys64.tobytes()
-        except (TypeError, ValueError, OverflowError):
-            cache_key = None
+        # integer vertex ids reach the batch face as an int64 column;
+        # any other key column is rescanned every step
+        cache_key = keys.tobytes() if keys.dtype == np.int64 else None
         if cache_key is not None:
             cached = self._csr.get(cache_key)
             if cached is not None:
                 return cached
         states = ctx.read_states(GRAPH_TAB)
         edge_arrays: List[np.ndarray] = []
-        for key, vertex in zip(keys, states):
+        # Python scalars, so an error names the key as the per-key face does
+        for key, vertex in zip(keys.tolist(), states):
             if vertex is None:
                 raise JobError(
                     f"vertex {key!r} enabled but absent from the graph table"
@@ -167,8 +164,14 @@ class _BatchPageRankCompute(Compute):
             accs = np.zeros(n, dtype=np.float64)
             if len(payloads):
                 # sort ascending within each destination group, then fold
-                # each group sequentially — bit-for-bit the per-key fold
-                order = np.lexsort((payloads, batch.group_index()))
+                # each group sequentially — bit-for-bit the per-key fold.
+                # Segmented sort: by value, then stably by group; the group
+                # index spans < 65536 values for any batch of that many
+                # keys, so the second sort is a uint16 radix sort.  Equal
+                # payloads are interchangeable, so the sorted values match
+                # ``lexsort((payloads, group_index))`` exactly.
+                by_value = np.argsort(payloads)
+                order = by_value[stable_order(batch.group_index()[by_value])]
                 sorted_payloads = payloads[order]
                 nonzero = batch.counts > 0
                 accs[nonzero] = np.add.reduceat(

@@ -1554,7 +1554,7 @@ class SyncEngine:
         """The columnar part-step: spills stay columns end to end.
 
         Collect lifts each spill's key/payload arrays as chunks, one
-        vectorized argsort groups them by destination, and the job's
+        stable vectorized sort groups them by destination, and the job's
         ``compute_batch`` is invoked over column slices instead of once
         per component.  Staged state and the commit point are shared
         with the per-key path (same write-back cache, same
@@ -1600,7 +1600,9 @@ class SyncEngine:
         if one_msg and n:
             over = np.flatnonzero(batch.counts > 1)
             if len(over):
-                offender = group_keys[over[0]]
+                # name the key as the per-key path would: ``tolist``
+                # lowers a typed column's element to a Python scalar
+                offender = group_keys[over[:1]].tolist()[0]
                 raise PropertyViolationError(
                     f"job declares one-msg but component {offender!r} received "
                     f"{int(batch.counts[over[0]])} messages in step {step}"

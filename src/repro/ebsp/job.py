@@ -112,7 +112,10 @@ class BatchComputeContext(BaseContext):
     @property
     @abc.abstractmethod
     def keys(self) -> Any:
-        """The key column of the batch (1-D array, ascending order)."""
+        """The key column of the batch (1-D array, ascending order).
+
+        ``int64`` when every key is an integer that fits in int64,
+        ``object`` otherwise."""
 
     # -- local state, columnar -------------------------------------------------
     @abc.abstractmethod

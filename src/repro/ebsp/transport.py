@@ -144,6 +144,28 @@ def spill_record_count(value: Any) -> int:
     return len(value)
 
 
+#: Integer columns spanning fewer values than this sort as ``uint16``.
+_RADIX_SPAN = 1 << 16
+
+
+def stable_order(column: np.ndarray) -> np.ndarray:
+    """``np.argsort(column, kind="stable")``, on numpy's radix path
+    when it can be.
+
+    numpy's stable sort is a radix sort for integer dtypes of at most
+    16 bits.  A wider integer column whose ``max - min`` fits in that
+    span (part ids, PageRank group indices, the vertex ids of one part)
+    is rebased to ``uint16`` first; rebasing preserves order, so the
+    permutation is the one the plain stable argsort would give.
+    """
+    dtype = column.dtype
+    if dtype.kind in "iu" and dtype.itemsize > 2 and len(column):
+        lo = column.min()
+        if int(column.max()) - int(lo) < _RADIX_SPAN:
+            return np.argsort((column - lo).astype(np.uint16), kind="stable")
+    return np.argsort(column, kind="stable")
+
+
 def _spill_dest_part(key: tuple) -> int:
     """Transport-table key hash: a spill lives at its destination part.
 
@@ -353,7 +375,7 @@ class SpillWriter:
                 arr[:] = payloads
             payloads = arr
         parts = self._route_parts(dest_keys)
-        order = np.argsort(parts, kind="stable")
+        order = stable_order(parts)
         parts = parts[order]
         dest_keys = dest_keys[order]
         payloads = payloads[order]
@@ -373,7 +395,7 @@ class SpillWriter:
             return
         self.continues_added += n
         parts = self._route_parts(dest_keys)
-        order = np.argsort(parts, kind="stable")
+        order = stable_order(parts)
         parts = parts[order]
         dest_keys = dest_keys[order]
         boundaries = np.flatnonzero(parts[1:] != parts[:-1]) + 1
@@ -630,18 +652,35 @@ def _object_column(values: Any) -> np.ndarray:
 def _key_chunk_array(keys: Any) -> np.ndarray:
     """Lift a spill's key column to an array without changing identity.
 
-    Typed arrays (written by the batch plane) pass through.  Python
-    key lists become *object* arrays — letting numpy guess a dtype
-    could silently promote mixed int/float keys and change how they
-    hash for part routing.
+    Typed arrays (written by the batch plane) pass through.  A key list
+    of exact Python ``int`` values that fit in int64 (what loaders and
+    per-key writers produce for integer keys) becomes an ``int64``
+    column, so grouping sorts machine integers.  Anything else — bools,
+    floats, numpy scalars, strings, tuples, out-of-range ints, or a mix
+    — becomes an *object* array: letting numpy guess a dtype could
+    silently promote mixed int/float keys and change how they hash for
+    part routing.
     """
-    if isinstance(keys, np.ndarray) and keys.dtype != object:
-        return keys
+    if isinstance(keys, np.ndarray):
+        if keys.dtype != object:
+            return keys
+        keys = keys.tolist()
+    if all(type(k) is int for k in keys):
+        try:
+            return np.array(keys, dtype=np.int64)
+        except OverflowError:
+            pass
     return _object_column(keys)
 
 
 def _concat_columns(chunks: List[np.ndarray]) -> np.ndarray:
-    """Concatenate column chunks; mixed dtypes degrade to object."""
+    """Concatenate column chunks; mixed dtypes degrade to object.
+
+    Empty chunks carry no keys, so their dtype does not count: an empty
+    message column must not turn a step's int64 continue keys into
+    objects.
+    """
+    chunks = [c for c in chunks if len(c)]
     if not chunks:
         return np.empty(0, dtype=object)
     if len(chunks) == 1:
@@ -689,10 +728,10 @@ def collect_step_columns(view: Any, step: int) -> StepColumns:
                 else:
                     raise ValueError(f"unknown transport record kind {kind!r}")
             if mk:
-                cols.msg_key_chunks.append(_object_column(mk))
+                cols.msg_key_chunks.append(_key_chunk_array(mk))
                 cols.msg_payload_chunks.append(_object_column(mp))
             if ck:
-                cols.cont_key_chunks.append(_object_column(ck))
+                cols.cont_key_chunks.append(_key_chunk_array(ck))
     return cols
 
 
@@ -768,7 +807,7 @@ def group_step_columns(cols: StepColumns) -> Tuple[np.ndarray, MessageBatch]:
             np.empty(0, dtype=object),
             MessageBatch(payloads, np.zeros(1, dtype=np.int64)),
         )
-    order = np.argsort(all_keys, kind="stable")
+    order = stable_order(all_keys)
     sorted_keys = all_keys[order]
     starts = np.concatenate(
         ([0], np.flatnonzero(sorted_keys[1:] != sorted_keys[:-1]) + 1)

@@ -19,7 +19,10 @@ from repro.ebsp.job import BatchComputeContext, Compute, ComputeContext, Job
 from repro.ebsp.loaders import Loader
 from repro.ebsp.properties import JobProperties
 from repro.ebsp.runner import run_job
+from repro.apps.pagerank import PageRankConfig, build_pagerank_table, pagerank_batch
 from repro.ebsp.transport import (
+    CLIENT_SRC,
+    CONT,
     MessageBatch,
     SpillWriter,
     StepColumns,
@@ -28,6 +31,7 @@ from repro.ebsp.transport import (
     group_step_columns,
 )
 from repro.errors import JobSpecError, PropertyViolationError
+from repro.graph.generators import power_law_directed_graph
 from repro.kvstore.api import TableSpec
 from repro.kvstore.local import LocalKVStore
 from repro.kvstore.partitioned import PartitionedKVStore
@@ -211,12 +215,18 @@ class OneMsgViolatingCompute(Compute):
 
 
 class DoubleSendLoader(Loader):
+    def __init__(self, key: int = 3):
+        self._key = key
+
     def load(self, ctx) -> None:
-        ctx.send_message(3, np.int64(1))
-        ctx.send_message(3, np.int64(2))
+        ctx.send_message(self._key, np.int64(1))
+        ctx.send_message(self._key, np.int64(2))
 
 
 class OneMsgJob(Job):
+    def __init__(self, key: int = 3):
+        self._key = key
+
     def state_table_names(self) -> List[str]:
         return ["one_msg_state"]
 
@@ -224,7 +234,7 @@ class OneMsgJob(Job):
         return OneMsgViolatingCompute()
 
     def loaders(self) -> List[Loader]:
-        return [DoubleSendLoader()]
+        return [DoubleSendLoader(self._key)]
 
     def properties(self) -> JobProperties:
         # one-msg without no-continue keeps the collect (and thus batch)
@@ -236,6 +246,17 @@ def test_batch_path_enforces_one_msg():
     with PartitionedKVStore(n_partitions=2) as store:
         with pytest.raises(PropertyViolationError, match="one-msg"):
             run_job(store, OneMsgJob(), synchronize=True)
+
+
+def test_one_msg_violation_names_key_as_python_scalar():
+    # the batch path groups int keys as an int64 column; the error must
+    # still name the key the way the per-key path does
+    with PartitionedKVStore(n_partitions=2) as store:
+        with pytest.raises(PropertyViolationError) as info:
+            run_job(store, OneMsgJob(key=7), synchronize=True, batch_compute=True)
+    message = str(info.value)
+    assert "component 7 received 2 messages" in message
+    assert "int64" not in message
 
 
 class TestMessageBatch:
@@ -329,3 +350,61 @@ class TestBatchSpillRoundtrip:
             assert sorted(seen) == list(range(10))
             assert all(seen[k] == [k * 0.5] for k in seen)
             assert conts == []  # 1 and 4 also got messages, so they group
+
+
+class TestTypedKeyColumns:
+    """Integer keys stay an int64 column through collect and grouping.
+
+    Guards against a slide back to sorting an ``object`` key column
+    (Python comparisons per key) without timing anything.
+    """
+
+    def test_loader_and_batch_spills_group_as_int64(self):
+        with LocalKVStore(default_n_parts=1) as store:
+            transport = create_transport_table(store, "xport", 1)
+            ref = store.create_table(TableSpec(name="ref", n_parts=1))
+            # a loader writes Python-int continue keys per record into a
+            # compact spill ...
+            loader = SpillWriter(
+                transport, src_part=CLIENT_SRC, step=0, n_parts=1,
+                part_of=ref.part_of, compact=True,
+            )
+            for key in (5, 2, 9):
+                loader.add((CONT, key))
+            loader.flush_all()
+            # ... and the batch plane writes an int64 message column
+            batch_writer = SpillWriter(
+                transport, src_part=0, step=0, n_parts=1,
+                part_of=ref.part_of, part_of_many=ref.part_of_many,
+            )
+            batch_writer.add_message_batch(
+                np.asarray([9, 2], dtype=np.int64), np.asarray([1.0, 2.0])
+            )
+            batch_writer.flush_all()
+            cols = collect_step_columns(transport._parts[0], 0)
+        assert [c.dtype for c in cols.cont_key_chunks] == [np.int64]
+        keys, batch = group_step_columns(cols)
+        assert keys.dtype == np.int64
+        assert keys.tolist() == [2, 5, 9]
+        assert batch.counts.tolist() == [1, 0, 1]
+
+    def test_pagerank_batch_groups_int64_keys_every_step(self, monkeypatch):
+        import repro.ebsp.engine as engine_module
+
+        grouped_dtypes = []
+        group = engine_module.group_step_columns
+
+        def spy(cols):
+            keys, batch = group(cols)
+            grouped_dtypes.append(keys.dtype)
+            return keys, batch
+
+        monkeypatch.setattr(engine_module, "group_step_columns", spy)
+        adjacency = power_law_directed_graph(300, 3_000, seed=4)
+        with PartitionedKVStore(n_partitions=2, runtime="inline") as store:
+            n = build_pagerank_table(store, "pr", adjacency)
+            result = pagerank_batch(store, "pr", n, PageRankConfig(iterations=4))
+        assert result.counters.get("batch_fallbacks", 0) == 0
+        # 5 steps (0..iterations) on each of 2 parts
+        assert len(grouped_dtypes) == 10
+        assert set(grouped_dtypes) == {np.dtype(np.int64)}

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import threading
 import time
+from typing import Dict
 
 import pytest
 
@@ -13,6 +14,29 @@ from repro.ebsp.scheduler import JobScheduler, JobState
 from repro.kvstore.partitioned import PartitionedKVStore
 
 from tests.ebsp.jobs import TestJob
+
+
+class _BarrierRegistry:
+    """Named barriers that the computes of concurrent jobs meet at.
+
+    A barrier is made on first use; asking for it again with a
+    different party count is an error rather than a silent mismatch.
+    """
+
+    def __init__(self) -> None:
+        self._barriers: Dict[str, threading.Barrier] = {}
+        self._lock = threading.Lock()
+
+    def get(self, name: str, parties: int) -> threading.Barrier:
+        with self._lock:
+            barrier = self._barriers.get(name)
+            if barrier is None:
+                barrier = self._barriers[name] = threading.Barrier(parties)
+            elif barrier.parties != parties:
+                raise ValueError(
+                    f"barrier {name!r} has {barrier.parties} parties, not {parties}"
+                )
+            return barrier
 
 
 @pytest.fixture
@@ -168,36 +192,42 @@ class TestConflictRules:
         assert tags in (["one", "one", "two", "two"], ["two", "two", "one", "one"])
 
     def test_read_sharing_allowed(self, store):
+        """Two jobs that only read a shared table run at the same time.
+
+        Each reader's compute waits at one two-party barrier, so a
+        scheduler that ran them one after the other breaks the barrier
+        and fails both jobs instead of passing after a timeout.
+        """
         from repro.kvstore.api import TableSpec
 
         store.create_table(TableSpec(name="reference", n_parts=4))
-        store.get_table("reference").put(0, "shared-data")
-        seen = []
-        both = threading.Event()
-        lock = threading.Lock()
+        reference = store.get_table("reference")
+        reference.put(0, "shared-data")
+        reference.put(1, "shared-data")
+        barriers = _BarrierRegistry()
 
-        def reader(out_table):
+        def reader(out_table, key):
             def fn(ctx):
-                with lock:
-                    seen.append(out_table)
-                    if len(seen) == 2:
-                        both.set()
-                both.wait(5)
+                barriers.get("readers", parties=2).wait(timeout=10)
                 ctx.write_state(0, ctx.read_state(1))
                 return False
 
             return TestJob(
                 fn,
                 state_tables=[out_table, "reference"],
-                loaders=[MessageListLoader([(0, 1)])],
+                loaders=[MessageListLoader([(key, 1)])],
             )
 
         with JobScheduler(store, max_concurrent=2) as scheduler:
-            h1 = scheduler.submit(reader("out1"), read_only=["reference"])
-            h2 = scheduler.submit(reader("out2"), read_only=["reference"])
+            # keys 0 and 1 live on different parts of the 4-part store, so
+            # the two computes run on different lanes and can overlap
+            h1 = scheduler.submit(reader("out1", 0), read_only=["reference"])
+            h2 = scheduler.submit(reader("out2", 1), read_only=["reference"])
             assert scheduler.wait_all(timeout=30)
-        assert both.is_set(), "read-only sharing should have run in parallel"
+        assert h1.state is JobState.SUCCEEDED, h1.error
+        assert h2.state is JobState.SUCCEEDED, h2.error
         assert store.get_table("out1").get(0) == "shared-data"
+        assert store.get_table("out2").get(1) == "shared-data"
         assert h1.reads == frozenset({"reference"})
 
     def test_reader_blocks_writer(self, store):
