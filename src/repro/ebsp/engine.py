@@ -35,7 +35,7 @@ import itertools
 import pickle
 import threading
 import time
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -66,6 +66,7 @@ from repro.ebsp.transport import (
     MSG,
     MessageBatch,
     SpillWriter,
+    _key_chunk_array,
     collect_step_columns,
     collect_step_records,
     create_transport_table,
@@ -105,6 +106,11 @@ class _LoaderCtx(LoaderContext):
 
     def enable(self, key: Any) -> None:
         self.writer.add((CONT, key))
+
+    def enable_many(self, keys: Iterable[Any]) -> None:
+        if not isinstance(keys, np.ndarray):
+            keys = list(keys)
+        self.writer.add_continue_batch(_key_chunk_array(keys))
 
     def aggregate_value(self, name: str, value: Any) -> None:
         agg = self._engine._aggs.get(name)
@@ -171,16 +177,15 @@ class _StepContext(ComputeContext):
         """Flush staged writes: one batched put (and one batched delete)
         per dirtied state table.  Returns (batches, records)."""
         batches = records = 0
+        absent = _StepContext._ABSENT
         for tab_idx, pending in self._dirty_tabs.items():
-            puts = [
-                (key, value)
-                for key, value in pending.items()
-                if value is not _StepContext._ABSENT
-            ]
-            deletes = [
-                key for key, value in pending.items()
-                if value is _StepContext._ABSENT
-            ]
+            puts: List[Tuple[Any, Any]] = []
+            deletes: List[Any] = []
+            for key, value in pending.items():
+                if value is absent:
+                    deletes.append(key)
+                else:
+                    puts.append((key, value))
             table = self._engine._state_tables[tab_idx]
             if puts:
                 table.put_many(puts)

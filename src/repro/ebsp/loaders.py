@@ -12,6 +12,9 @@ from __future__ import annotations
 import abc
 from typing import Any, Callable, Dict, Iterable, Optional, Tuple
 
+from repro.kvstore.api import FnPairConsumer, PartConsumer, PartView
+from repro.runtime.shipping import CONSUMER_SHIP_ATTR
+
 
 class LoaderContext(abc.ABC):
     """What a loader can do while initializing a job."""
@@ -27,6 +30,15 @@ class LoaderContext(abc.ABC):
     @abc.abstractmethod
     def enable(self, key: Any) -> None:
         """Enable component *key* for step 0 even without a message."""
+
+    def enable_many(self, keys: Iterable[Any]) -> None:
+        """Enable every key in *keys*, in order; the bulk :meth:`enable`.
+
+        The default loops over :meth:`enable`; the sync engine routes
+        the whole key list as one column instead.
+        """
+        for key in keys:
+            self.enable(key)
 
     @abc.abstractmethod
     def aggregate_value(self, name: str, value: Any) -> None:
@@ -78,13 +90,33 @@ class EnableKeysLoader(Loader):
             ctx.enable(key)
 
 
+class _PartKeys(PartConsumer):
+    """Collects each part's keys where the part lives; values stay put.
+
+    Module-level and opted into shipping, so on a process store each
+    part's key list is built in the worker that owns the part and only
+    the keys cross back.  Results fold in part order.
+    """
+
+    def __init__(self) -> None:
+        setattr(self, CONSUMER_SHIP_ATTR, True)
+
+    def process_part(self, part_index: int, part: PartView) -> list:
+        return list(part.keys())
+
+    def combine(self, a: list, b: list) -> list:
+        return a + b
+
+
 class TableScanLoader(Loader):
     """Derive the initial condition from an existing table's contents.
 
     For every (key, value) pair of *table*, calls *fn(ctx, key, value)*
     — the client's hook to emit states, messages, enables, and
     aggregator inputs.  When *fn* is omitted, every key in the table is
-    simply enabled (the common "run over this whole table" start).
+    simply enabled (the common "run over this whole table" start): the
+    scan then reads keys only, where the parts live, and enables them
+    with one :meth:`LoaderContext.enable_many` call in part order.
     """
 
     def __init__(self, table: Any, fn: Optional[Callable[[LoaderContext, Any, Any], None]] = None):
@@ -92,12 +124,8 @@ class TableScanLoader(Loader):
         self._fn = fn
 
     def load(self, ctx: LoaderContext) -> None:
-        from repro.kvstore.api import FnPairConsumer
-
         if self._fn is None:
-            self._table.enumerate_pairs(
-                FnPairConsumer(lambda key, value: ctx.enable(key))
-            )
+            ctx.enable_many(self._table.enumerate_parts(_PartKeys()))
         else:
             fn = self._fn
             self._table.enumerate_pairs(

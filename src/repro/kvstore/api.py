@@ -242,6 +242,26 @@ class PartView(abc.ABC):
         for key, _ in self.items():
             yield key
 
+    # Batch operations: a store applies one routed batch per part
+    # through these.  The defaults loop over the point operations;
+    # parts override them to hold a lock once or to bulk-update.
+    def put_many(self, pairs: Iterable[tuple]) -> None:
+        """Store every ``(key, value)`` pair, in order."""
+        put = self.put
+        for key, value in pairs:
+            put(key, value)
+
+    def delete_many(self, keys: Iterable[Any]) -> None:
+        """Remove every key, in order."""
+        delete = self.delete
+        for key in keys:
+            delete(key)
+
+    def get_many(self, keys: Iterable[Any]) -> list:
+        """The value (or ``None``) of every key, aligned with *keys*."""
+        get = self.get
+        return [get(key) for key in keys]
+
     def range_items(self, lo: Optional[Any] = None, hi: Optional[Any] = None) -> Iterator[tuple]:
         """Pairs with ``lo <= key < hi``; sorted iff the part is ordered.
 
@@ -254,6 +274,25 @@ class PartView(abc.ABC):
             if hi is not None and key >= hi:
                 continue
             yield key, value
+
+
+def _int_key_column(keys: Any) -> Any:
+    """*keys* as an integer array when they route as plain ints, else ``None``.
+
+    Only typed integer arrays and lists of exact ``int`` values that fit
+    in int64 qualify: ``np.asarray`` would turn a mixed bool/int list
+    into int64 and route ``True`` like ``1``.
+    """
+    import numpy as np
+
+    if isinstance(keys, np.ndarray):
+        return keys if keys.dtype.kind in "iu" else None
+    if not all(type(key) is int for key in keys):
+        return None
+    try:
+        return np.array(keys, dtype=np.int64)
+    except OverflowError:
+        return None
 
 
 class Table(abc.ABC):
@@ -318,10 +357,12 @@ class Table(abc.ABC):
     def part_of_many(self, keys: Any) -> "Any":
         """Part index per key, as an int64 array aligned with *keys*.
 
-        The batch data plane routes whole key columns at once.  Integer
-        key columns under the default hash vectorize (the stable hash
-        of an int is its low 32 bits); everything else falls back to a
-        per-key loop with identical results.
+        The batch data plane routes whole key columns at once.  Typed
+        integer arrays, and lists of exact ``int`` keys that fit in
+        int64, vectorize under the default hash (the stable hash of an
+        int is its low 32 bits); everything else — bools and numpy
+        scalars included, which hash differently from ints — falls back
+        to a per-key loop with identical results.
         """
         import numpy as np
 
@@ -329,8 +370,8 @@ class Table(abc.ABC):
         if self._n_parts == 1:
             return np.zeros(n, dtype=np.int64)
         if self._spec.key_hash is None:
-            arr = keys if isinstance(keys, np.ndarray) else np.asarray(keys)
-            if arr.dtype.kind in "iu":
+            arr = _int_key_column(keys)
+            if arr is not None:
                 hashes = arr.astype(np.uint64) & np.uint64(0xFFFFFFFF)
                 return (hashes % np.uint64(self._n_parts)).astype(np.int64)
         part_of = self.part_of

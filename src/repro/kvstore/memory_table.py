@@ -9,7 +9,7 @@ re-sorted key index — cheap amortized inserts, sorted iteration.
 from __future__ import annotations
 
 import bisect
-from typing import Any, Iterator, Optional
+from typing import Any, Iterable, Iterator, Optional
 
 from repro.kvstore.api import PartView
 
@@ -32,6 +32,24 @@ class HashPart(PartView):
 
     def delete(self, key: Any) -> bool:
         return self._data.pop(key, None) is not None
+
+    def put_many(self, pairs: Iterable[tuple]) -> None:
+        # Checked up front, so a rejected batch stores nothing; update()
+        # then inserts in pair order, as a run of put()s would.
+        pairs = pairs if isinstance(pairs, list) else list(pairs)
+        for pair in pairs:
+            if pair[1] is None:
+                raise ValueError("None is not a storable value; use delete()")
+        self._data.update(pairs)
+
+    def delete_many(self, keys: Iterable[Any]) -> None:
+        pop = self._data.pop
+        for key in keys:
+            pop(key, None)
+
+    def get_many(self, keys: Iterable[Any]) -> list:
+        get = self._data.get
+        return [get(key) for key in keys]
 
     def items(self) -> Iterator[tuple]:
         # Snapshot so that consumers may mutate the part while iterating.

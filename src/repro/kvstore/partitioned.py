@@ -83,6 +83,7 @@ from repro.runtime.process import (
 from repro.runtime.retry import WorkerLostError
 from repro.runtime.shipping import CONSUMER_SHIP_ATTR, ShippingError
 from repro.serde import Codec, SerdeStats
+from repro.util.hashing import stable_hash
 
 
 # Shared operation bodies for point/batch requests.  Module-level (not
@@ -106,20 +107,17 @@ def _op_delete(view: PartView, key: Any) -> bool:
 
 @shippable
 def _op_put_batch(view: PartView, batch: list) -> None:
-    for key, value in batch:
-        view.put(key, value)
+    view.put_many(batch)
 
 
 @shippable
 def _op_get_batch(view: PartView, keys: list) -> list:
-    get = view.get
-    return [get(key) for key in keys]
+    return view.get_many(keys)
 
 
 @shippable
 def _op_delete_batch(view: PartView, keys: list) -> None:
-    for key in keys:
-        view.delete(key)
+    view.delete_many(keys)
 
 
 @shippable
@@ -156,6 +154,41 @@ def _op_checked_put(view: PartView, key: Any, value: Any, limit: int, name: str)
 def _op_checked_put_batch(view: PartView, batch: list, limit: int, name: str) -> None:
     for key, value in batch:
         _op_checked_put(view, key, value, limit, name)
+
+
+def _by_part(table: Table, items: Iterable[Any], pairs: bool = False) -> dict:
+    """Group keys — or ``(key, value)`` pairs when *pairs* — by part.
+
+    The one routing pass behind every bulk operation: ``{part: items}``
+    in first-touch part order, each list in input order.  Under the
+    default hash an exact ``int`` routes inline by its low 32 bits (the
+    rule :func:`stable_hash` applies to it) and any other key through
+    :func:`stable_hash`; a custom ``key_hash`` routes through
+    :meth:`Table.part_of`.  Plain loop on purpose: numpy's fixed cost
+    outweighs vectorized hashing on the one-to-five-record batches
+    selective jobs write.
+    """
+    by_part: dict = {}
+    n_parts = table.n_parts
+    custom = table.spec.key_hash is not None
+    if n_parts == 1 and not custom:
+        items = list(items)  # a fresh list, like every routed batch
+        return {0: items} if items else by_part
+    part_of = table.part_of
+    for item in items:
+        key = item[0] if pairs else item
+        if custom:
+            part = part_of(key)
+        elif type(key) is int:
+            part = (key & 0xFFFFFFFF) % n_parts
+        else:
+            part = stable_hash(key) % n_parts
+        batch = by_part.get(part)
+        if batch is None:
+            by_part[part] = [item]
+        else:
+            batch.append(item)
+    return by_part
 
 
 @shippable
@@ -286,6 +319,18 @@ class _LockedPart(PartView):
         with self._lock:
             return self._part.delete(key)
 
+    def put_many(self, pairs: Iterable[tuple]) -> None:
+        with self._lock:
+            self._part.put_many(pairs)
+
+    def delete_many(self, keys: Iterable[Any]) -> None:
+        with self._lock:
+            self._part.delete_many(keys)
+
+    def get_many(self, keys: Iterable[Any]) -> list:
+        with self._lock:
+            return self._part.get_many(keys)
+
     def items(self) -> Iterator[tuple]:
         with self._lock:
             return self._part.items()  # implementations snapshot internally
@@ -329,6 +374,22 @@ class _JournaledPart(_LockedPart):
         with self._lock:
             journal_append((self._uid, self._part_index, "del", key, None))
             return self._part.delete(key)
+
+    # The batch forms journal and apply record by record, in order, under
+    # one hold of the lock: the journal stays the exact applied sequence.
+    def put_many(self, pairs: Iterable[tuple]) -> None:
+        uid, part_index, put = self._uid, self._part_index, self._part.put
+        with self._lock:
+            for key, value in pairs:
+                journal_append((uid, part_index, "put", key, value))
+                put(key, value)
+
+    def delete_many(self, keys: Iterable[Any]) -> None:
+        uid, part_index, delete = self._uid, self._part_index, self._part.delete
+        with self._lock:
+            for key in keys:
+                journal_append((uid, part_index, "del", key, None))
+                delete(key)
 
     def clear(self) -> None:
         with self._lock:
@@ -486,12 +547,8 @@ class _ChildTable(Table):
 
     # -- bulk operations -----------------------------------------------------
     def put_many_async(self, pairs: Iterable[tuple]) -> list:
-        by_part: dict = {}
-        part_of = self.part_of
-        for key, value in pairs:
-            by_part.setdefault(part_of(key), []).append((key, value))
         futures = []
-        for part_index, batch in by_part.items():
+        for part_index, batch in _by_part(self, pairs, pairs=True).items():
             local = self._local_part(part_index)
             if local is not None:
                 try:
@@ -505,12 +562,8 @@ class _ChildTable(Table):
         return futures
 
     def delete_many_async(self, keys: Iterable[Any]) -> list:
-        by_part: dict = {}
-        part_of = self.part_of
-        for key in keys:
-            by_part.setdefault(part_of(key), []).append(key)
         futures = []
-        for part_index, batch in by_part.items():
+        for part_index, batch in _by_part(self, keys).items():
             local = self._local_part(part_index)
             if local is not None:
                 try:
@@ -524,10 +577,7 @@ class _ChildTable(Table):
         return futures
 
     def get_many(self, keys: Iterable[Any]) -> dict:
-        by_part: dict = {}
-        part_of = self.part_of
-        for key in keys:
-            by_part.setdefault(part_of(key), []).append(key)
+        by_part = _by_part(self, keys)
         out: dict = {}
         remote: dict = {}
         for part_index, part_keys in by_part.items():
@@ -799,14 +849,10 @@ class PartitionedTable(Table):
                     0, _op_checked_put_batch, batch, self.spec.ubiquity_limit, self.name
                 )
             ]
-        by_part: dict = {}
-        part_of = self.part_of
-        for key, value in pairs:
-            by_part.setdefault(part_of(key), []).append((key, value))
         here = self._store.runtime.current_worker()
         stats = self._store.stats
         futures = []
-        for part_index, batch in by_part.items():
+        for part_index, batch in _by_part(self, pairs, pairs=True).items():
             if self._partition_index(part_index) != here:
                 stats.record_batch(len(batch))
             futures.append(self._submit_short(part_index, _op_put_batch, batch))
@@ -823,14 +869,10 @@ class PartitionedTable(Table):
         """Dispatch per-part delete batches concurrently; returns futures."""
         self._check()
         self.note_mutation()
-        by_part: dict = {}
-        part_of = self.part_of
-        for key in keys:
-            by_part.setdefault(part_of(key), []).append(key)
         here = self._store.runtime.current_worker()
         stats = self._store.stats
         futures = []
-        for part_index, batch in by_part.items():
+        for part_index, batch in _by_part(self, keys).items():
             if self._partition_index(part_index) != here:
                 stats.record_batch(len(batch))
             futures.append(
@@ -846,10 +888,7 @@ class PartitionedTable(Table):
             return self._get_many_batched(keys)
 
     def _get_many_batched(self, keys: Iterable[Any]) -> dict:
-        by_part: dict = {}
-        part_of = self.part_of
-        for key in keys:
-            by_part.setdefault(part_of(key), []).append(key)
+        by_part = _by_part(self, keys)
         here = self._store.runtime.current_worker()
         stats = self._store.stats
         futures = {}

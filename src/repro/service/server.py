@@ -202,6 +202,12 @@ class _Handler(BaseHTTPRequestHandler):
             self._error(503, str(exc))
 
 
+#: How often the listener loop checks for a stop request.  ``close()``
+#: waits out at most one interval; socketserver's 0.5 s default made
+#: every shutdown take half a second.
+_POLL_INTERVAL_S = 0.05
+
+
 class ServiceServer:
     """Owns the HTTP listener; serve in a daemon thread or foreground."""
 
@@ -226,13 +232,13 @@ class ServiceServer:
 
     def start(self) -> "ServiceServer":
         self._thread = threading.Thread(
-            target=self._httpd.serve_forever, name="ripple-http", daemon=True
+            target=self.serve_forever, name="ripple-http", daemon=True
         )
         self._thread.start()
         return self
 
     def serve_forever(self) -> None:
-        self._httpd.serve_forever()
+        self._httpd.serve_forever(poll_interval=_POLL_INTERVAL_S)
 
     def close(self, timeout: Optional[float] = None) -> bool:
         """Stop the listener, then drain the front door gracefully."""

@@ -3,7 +3,8 @@
 A spill's Python key list enters the batch plane as an ``int64`` column
 only when every key is an exact ``int`` that fits in int64; anything
 else stays an ``object`` column with element identity intact.  A
-lowered column must route to the same parts as its keys one by one, and
+lowered column — or any key list, bools mixed with ints included — must
+route to the same parts as its keys one by one, and
 :func:`stable_order` must give exactly the permutation of
 ``np.argsort(kind="stable")`` whichever branch it takes.
 """
@@ -48,6 +49,30 @@ def test_exact_int_keys_lower_to_int64_and_route_like_part_of(keys, n_parts):
     with LocalKVStore() as store:
         table = store.create_table(TableSpec(name="t", n_parts=n_parts))
         assert table.part_of_many(column).tolist() == [table.part_of(k) for k in keys]
+
+
+# keys numpy would coerce to one integer dtype although they route apart
+bool_or_int_keys = st.one_of(
+    st.booleans(),
+    st.sampled_from([np.True_, np.False_]),
+    int64_values,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(bool_or_int_keys, min_size=1, max_size=32), st.integers(1, 9))
+def test_part_of_many_routes_mixed_bool_int_lists_like_part_of(keys, n_parts):
+    # np.asarray([True, 2]) is an int64 array; True must still route as a bool
+    with LocalKVStore() as store:
+        table = store.create_table(TableSpec(name="t", n_parts=n_parts))
+        assert table.part_of_many(keys).tolist() == [table.part_of(k) for k in keys]
+
+
+def test_part_of_many_keeps_bools_apart_from_ints():
+    with LocalKVStore() as store:
+        table = store.create_table(TableSpec(name="t", n_parts=6))
+        for keys in ([True, 2], [np.True_, 3], [False, True, 0, 1]):
+            assert table.part_of_many(keys).tolist() == [table.part_of(k) for k in keys]
 
 
 @settings(max_examples=200, deadline=None)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import pickle
+
 import pytest
 
 from repro.ebsp.exporters import (
@@ -14,14 +16,18 @@ from repro.ebsp.loaders import (
     DictStateLoader,
     EnableKeysLoader,
     FunctionLoader,
+    LoaderContext,
     MessageListLoader,
     TableScanLoader,
 )
 from repro.kvstore.api import TableSpec
 from repro.kvstore.local import LocalKVStore
+from repro.kvstore.partitioned import PartitionedKVStore
 
 
-class FakeLoaderContext:
+class FakeLoaderContext(LoaderContext):
+    """Records every call; ``enable_many`` is the base class's loop."""
+
     def __init__(self):
         self.states = []
         self.messages = []
@@ -83,6 +89,57 @@ class TestLoaders:
         ctx = FakeLoaderContext()
         TableScanLoader(table, lambda c, k, v: c.send_message(k, v)).load(ctx)
         assert ctx.messages == [(5, "payload")]
+
+
+class TestKeysOnlyScan:
+    """The default ``TableScanLoader`` reads keys where the parts live."""
+
+    def test_enables_every_key_once_in_part_order(self):
+        with PartitionedKVStore(n_partitions=3) as store:
+            table = store.create_table(TableSpec(name="t", n_parts=3))
+            table.put_many((k, str(k)) for k in range(20))
+            ctx = FakeLoaderContext()
+            TableScanLoader(table).load(ctx)
+            by_part = [[k for k, _ in table.items() if table.part_of(k) == p] for p in range(3)]
+            assert ctx.enabled == by_part[0] + by_part[1] + by_part[2]
+
+    def test_pagerank_loader_moves_no_vertex_to_the_parent(self, monkeypatch):
+        from repro.apps.pagerank import (
+            PageRankConfig,
+            build_pagerank_table,
+            pagerank_batch,
+            read_rank_table,
+        )
+        from repro.apps.pagerank.common import Vertex
+        from repro.bench.experiments import table1_workloads
+        from repro.graph.generators import power_law_directed_graph
+
+        n_vertices, n_edges = table1_workloads(1.0)[2]
+        adjacency = power_law_directed_graph(n_vertices, n_edges, seed=7)
+        config = PageRankConfig(iterations=3)
+
+        def ranks(runtime, count_unpickles):
+            with PartitionedKVStore(n_partitions=2, runtime=runtime) as store:
+                n = build_pagerank_table(store, "g", adjacency)
+                unpickled = []
+                if count_unpickles:
+                    original = Vertex.__setstate__
+
+                    def counting(vertex, state):
+                        unpickled.append(1)
+                        original(vertex, state)
+
+                    monkeypatch.setattr(Vertex, "__setstate__", counting)
+                pagerank_batch(store, "g", n, config)
+                monkeypatch.undo()
+                return read_rank_table(store, "g_ranks"), len(unpickled)
+
+        process_ranks, unpickled = ranks("process", count_unpickles=True)
+        threaded_ranks, _ = ranks("threaded", count_unpickles=False)
+        # the parent unpickles no Vertex (edge arrays included) to start the job
+        assert unpickled == 0
+        assert len(process_ranks) == n_vertices
+        assert pickle.dumps(process_ranks) == pickle.dumps(threaded_ranks)
 
 
 class TestExporters:
