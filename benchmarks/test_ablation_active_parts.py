@@ -14,13 +14,8 @@ idle.  Baseline (``active_scheduling=False``) and active modes must
 produce byte-identical distances; the active mode must dispatch
 strictly fewer part-step tasks, skip >50 % of them, and be no slower.
 
-A second A/B isolates the compact spill codec on the message-heavy
-PageRank workload: struct-of-arrays spill encoding must reduce the
-bytes marshalled across partition boundaries.
-
 Writes a ``BENCH_active_parts.json`` artifact (path override:
-``RIPPLE_BENCH_OUT``) with per-mode timings, task counts, and codec
-byte totals.
+``RIPPLE_BENCH_OUT``) with per-mode timings and task counts.
 """
 
 from __future__ import annotations
@@ -32,10 +27,8 @@ import time
 
 import pytest
 
-from repro.apps.pagerank import PageRankConfig, build_pagerank_table, pagerank_direct
 from repro.apps.sssp import SelectiveSSSP
 from repro.bench.experiments import sssp_workload
-from repro.graph.generators import power_law_directed_graph
 from repro.kvstore.partitioned import PartitionedKVStore
 
 from benchmarks.conftest import bench_rounds
@@ -131,6 +124,7 @@ def test_active_part_scheduling(benchmark, workload, mode, trace_dir):
     _RESULTS[mode] = {"best": best, "rounds": rounds}
 
     if mode == "active" and "baseline" in _RESULTS:
+        _write_artifact()
         baseline = _RESULTS["baseline"]["best"]
         # correctness first: skipping idle parts must not change anything
         assert best["distance_digest"] == baseline["distance_digest"], (
@@ -157,72 +151,3 @@ def test_active_part_scheduling(benchmark, workload, mode, trace_dir):
             f"{baseline['elapsed_seconds']:.3f}s)"
         )
 
-
-# ---------------------------------------------------------------------------
-# Compact spill codec A/B — message-heavy PageRank
-# ---------------------------------------------------------------------------
-
-_CODEC_RESULTS: dict = {}
-CONFIG = PageRankConfig(iterations=3)
-
-
-@pytest.fixture(scope="module")
-def adjacency(scale):
-    return power_law_directed_graph(int(800 * scale), int(16_000 * scale), seed=88)
-
-
-def _run_pagerank(adjacency, compact: bool, trace: bool = False) -> dict:
-    store = PartitionedKVStore(n_partitions=6)
-    try:
-        n = build_pagerank_table(store, "pr", adjacency)
-        started = time.perf_counter()
-        result = pagerank_direct(
-            store, "pr", n, CONFIG, compact_spills=compact, trace=trace
-        )
-        elapsed = time.perf_counter() - started
-        out = {
-            "elapsed_seconds": elapsed,
-            "marshalled_bytes": result.marshalled_bytes,
-            "codec_sample_raw_bytes": result.counters.get("codec_sample_raw_bytes", 0),
-            "codec_sample_compact_bytes": result.counters.get(
-                "codec_sample_compact_bytes", 0
-            ),
-            "spills_written": result.spills_written,
-        }
-        if trace:
-            out["trace"] = result.trace
-        return out
-    finally:
-        store.close()
-
-
-@pytest.mark.parametrize("codec", ["classic", "compact"])
-def test_compact_spill_codec(benchmark, adjacency, codec, trace_dir):
-    rounds: list = []
-
-    def once():
-        measurement = _run_pagerank(adjacency, compact=(codec == "compact"))
-        rounds.append(measurement)
-        return measurement
-
-    benchmark.pedantic(once, rounds=bench_rounds(), iterations=1)
-    if trace_dir:
-        _export_trace(
-            trace_dir,
-            f"pagerank_{codec}",
-            _run_pagerank(adjacency, compact=(codec == "compact"), trace=True),
-        )
-    best = min(rounds, key=lambda r: r["elapsed_seconds"])
-    _CODEC_RESULTS[codec] = {"best": best, "rounds": rounds}
-
-    if codec == "compact" and "classic" in _CODEC_RESULTS:
-        _RESULTS["codec"] = _CODEC_RESULTS
-        _write_artifact()
-        classic = _CODEC_RESULTS["classic"]["best"]
-        # struct-of-arrays spills pickle smaller than per-record tuples
-        assert best["marshalled_bytes"] < classic["marshalled_bytes"], (
-            "compact spill codec should reduce cross-partition bytes "
-            f"({best['marshalled_bytes']} vs {classic['marshalled_bytes']})"
-        )
-        sampled = best["codec_sample_raw_bytes"]
-        assert sampled and best["codec_sample_compact_bytes"] < sampled

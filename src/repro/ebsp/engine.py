@@ -35,6 +35,7 @@ import itertools
 import pickle
 import threading
 import time
+from functools import partial
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
@@ -64,6 +65,7 @@ from repro.ebsp.transport import (
     CONT,
     CREATE,
     MSG,
+    NO_MESSAGE,
     MessageBatch,
     SpillWriter,
     _key_chunk_array,
@@ -71,10 +73,21 @@ from repro.ebsp.transport import (
     collect_step_records,
     create_transport_table,
     group_step_columns,
+    is_spill,
+    scan_step_records_no_collect,
 )
 from repro.kvstore.api import FnPairConsumer, KVStore, PartConsumer, Table, TableSpec
 
 _job_ids = itertools.count()
+
+
+def _by_key(triples: Iterable[Tuple[Any, int, Any]]) -> Dict[Any, List[Tuple[int, Any]]]:
+    """Group ``(key, tab_idx, state)`` creation records by key, in
+    arrival order."""
+    merged: Dict[Any, List[Tuple[int, Any]]] = {}
+    for dest_key, tab_idx, state in triples:
+        merged.setdefault(dest_key, []).append((tab_idx, state))
+    return merged
 
 
 class _SimpleBaseContext(BaseContext):
@@ -89,10 +102,16 @@ class _SimpleBaseContext(BaseContext):
 
 
 class _LoaderCtx(LoaderContext):
-    """Loader context: feeds states, step-0 spills, enables, aggregates."""
+    """Loader context: feeds states, step-0 spills, enables, aggregates.
+
+    A table-scan loader calls it from every part's enumeration thread at
+    once, so writer and aggregator updates go through one lock (the
+    spill writer itself serves one producer at a time).
+    """
 
     def __init__(self, engine: "SyncEngine"):
         self._engine = engine
+        self._lock = threading.Lock()
         self.writer = engine._make_writer(CLIENT_SRC, 0, 0, hold=False)
         self.agg_partials: Dict[str, Any] = {
             name: agg.create() for name, agg in engine._aggs.items()
@@ -102,21 +121,26 @@ class _LoaderCtx(LoaderContext):
         self._engine._state_tables[tab_idx].put(key, state)
 
     def send_message(self, key: Any, message: Any) -> None:
-        self.writer.add((MSG, key, message))
+        with self._lock:
+            self.writer.add((MSG, key, message))
 
     def enable(self, key: Any) -> None:
-        self.writer.add((CONT, key))
+        with self._lock:
+            self.writer.add((CONT, key))
 
     def enable_many(self, keys: Iterable[Any]) -> None:
         if not isinstance(keys, np.ndarray):
             keys = list(keys)
-        self.writer.add_continue_batch(_key_chunk_array(keys))
+        keys = _key_chunk_array(keys)
+        with self._lock:
+            self.writer.add_continue_batch(keys)
 
     def aggregate_value(self, name: str, value: Any) -> None:
         agg = self._engine._aggs.get(name)
         if agg is None:
             raise AggregatorError(f"job has no aggregator named {name!r}")
-        self.agg_partials[name] = agg.add(self.agg_partials[name], value)
+        with self._lock:
+            self.agg_partials[name] = agg.add(self.agg_partials[name], value)
 
 
 class _StepContext(ComputeContext):
@@ -528,20 +552,12 @@ class _StepConsumer(PartConsumer):
                 for part, count in per_part.items():
                     dest[part] = dest.get(part, 0) + count
             for name, value in side.counters.items():
-                if name.startswith("codec_sample_"):
-                    continue
                 out.counters[name] = out.counters.get(name, 0) + value
             for name, value in side.maxima.items():
                 out.maxima[name] = max(out.maxima.get(name, 0), value)
             out.outputs.extend(side.outputs)
             out.injected += side.injected
             out.part_seconds.update(side.part_seconds)
-        # the codec byte sample is a one-shot *pair*, not a sum: carry
-        # one side's paired sample through the merge
-        sampled = a if a.counters.get("codec_sample_compact_bytes") else b
-        for name in ("codec_sample_raw_bytes", "codec_sample_compact_bytes"):
-            if sampled.counters.get(name):
-                out.counters[name] = sampled.counters[name]
         return out
 
 
@@ -582,11 +598,7 @@ class SyncEngine:
         job: Job,
         *,
         spill_batch: int = 512,
-        spill_window: int = 8,
-        spill_coalesce: int = 4,
-        pipelined_transport: bool = True,
         active_scheduling: bool = True,
-        compact_spills: bool = True,
         max_steps: Optional[int] = None,
         aggregator_table_threshold: int = 8,
         fault_tolerance: bool = False,
@@ -631,19 +643,22 @@ class SyncEngine:
         )
         self._compute_batch_size = max(1, compute_batch_size)
         self._spill_batch = spill_batch
-        self._spill_window = spill_window
-        self._spill_coalesce = spill_coalesce
-        self._pipelined_transport = pipelined_transport
         self._active_scheduling = active_scheduling
-        self._compact_spills = compact_spills
         self._max_steps = max_steps
         self._agg_table_threshold = aggregator_table_threshold
         self._fault_tolerance = fault_tolerance
+        if failure_injector is not None and not fault_tolerance:
+            raise JobSpecError(
+                "failure_injector requires fault_tolerance=True (without it a "
+                "part-step's spills and direct outputs leave before its commit "
+                "point, so a retried attempt would deliver them twice)"
+            )
         self._failure_injector = failure_injector
         self._max_retries = max_retries
         # Live progress hook: called with each step's StepMetrics right
-        # after the barrier (driver thread).  Exceptions are swallowed —
-        # a monitoring callback must never fail a tenant's job.
+        # after the barrier (driver thread).  A raising hook is counted
+        # (``on_step_errors``), not propagated — a monitoring callback
+        # must never fail a tenant's job.
         self._on_step = on_step
         self._counters = Counters()
         self._agg_values: Dict[str, Any] = {}
@@ -738,7 +753,6 @@ class SyncEngine:
         self._spilled_per_step: Dict[int, Dict[int, int]] = {}
         # key -> part memo for the engine-side routing lookup
         self._part_cache: Dict[Any, int] = {}
-        self._codec_sampled = False
         self._timeline: list = []
         # -- compute shipping (process runtimes) --------------------------
         # True in a copy of this engine that was unpickled inside a
@@ -749,7 +763,7 @@ class SyncEngine:
         self._ship_parts = self._preflight_shipping(ship_compute)
         # -- real crash tolerance -------------------------------------
         # Simulated failures (SimulatedFailure) retry inside the part-step
-        # on every configuration; surviving a real worker death takes the
+        # under fault tolerance; surviving a real worker death takes the
         # whole stack: shipped part-steps (so a part-step failure is one
         # future, not the job), per-part futures, and a store that mirrors
         # resident parts parent-side so a respawned worker can be rebuilt.
@@ -970,7 +984,7 @@ class SyncEngine:
     def _make_writer(
         self, src_part: int, write_step: int, combine_step: int, hold: bool
     ) -> SpillWriter:
-        """A spill writer carrying the engine's transport-pipeline config."""
+        """A spill writer for one source part's sends to *write_step*."""
         return SpillWriter(
             self._transport,
             src_part=src_part,
@@ -981,10 +995,6 @@ class SyncEngine:
             hold=hold,
             on_spill=lambda part, n: self._record_spill(write_step, part, n),
             combiner=self._combiner_for(combine_step),
-            pipelined=self._pipelined_transport,
-            max_in_flight=self._spill_window,
-            spills_per_batch=self._spill_coalesce,
-            compact=self._compact_spills,
             tracer=self._tracer,
             part_of_many=self._part_of_many,
             vector_combiner=self._batch_combiner_for(combine_step),
@@ -1000,16 +1010,6 @@ class SyncEngine:
         if writer.batches_dispatched:
             self._counters.add("transport_batches", writer.batches_dispatched)
         self._counters.record_max("spill_in_flight_hwm", writer.in_flight_hwm)
-        if writer.codec_sample_compact_bytes:
-            # one paired sample per job is enough for the A/B byte delta
-            with self._spill_lock:
-                if self._codec_sampled:
-                    return
-                self._codec_sampled = True
-            self._counters.add("codec_sample_raw_bytes", writer.codec_sample_raw_bytes)
-            self._counters.add(
-                "codec_sample_compact_bytes", writer.codec_sample_compact_bytes
-            )
 
     def _capture_store_stats(self) -> None:
         """Record this run's store serde/batching deltas as counters."""
@@ -1204,6 +1204,11 @@ class SyncEngine:
                 f"{self._checkpoints.job_key!r}"
             )
         step = payload["step"]
+        if not all(is_spill(value) for _, value in payload["transport"]):
+            raise RecoveryError(
+                f"checkpoint for job key {self._checkpoints.job_key!r} holds "
+                "spills in a retired spill format; it cannot be resumed"
+            )
         for table, items in zip(self._state_tables, payload["state_tables"]):
             # the store may hold post-checkpoint (or pre-crash) state;
             # the checkpoint's contents replace it wholesale
@@ -1316,7 +1321,7 @@ class SyncEngine:
             try:
                 self._on_step(metrics_entry)
             except Exception:
-                pass
+                self._counters.add("on_step_errors")
         return result
 
     def _finish_step(
@@ -1363,17 +1368,7 @@ class SyncEngine:
                     for part, count in per_part.items():
                         dest[part] = dest.get(part, 0) + count
         for name, value in result.counters.items():
-            if name.startswith("codec_sample_"):
-                continue
             self._counters.add(name, value)
-        raw = result.counters.get("codec_sample_raw_bytes", 0)
-        if raw and not self._codec_sampled:
-            self._codec_sampled = True
-            self._counters.add("codec_sample_raw_bytes", raw)
-            self._counters.add(
-                "codec_sample_compact_bytes",
-                result.counters.get("codec_sample_compact_bytes", 0),
-            )
         for name, value in result.maxima.items():
             self._counters.record_max(name, value)
         if result.outputs and self._direct_exporter is not None:
@@ -1524,6 +1519,11 @@ class SyncEngine:
                 result = self._attempt_part_step(part, view, step)
                 break
             except SimulatedFailure:
+                # Without fault tolerance the attempt's spills and direct
+                # outputs are not held to the commit point, so some may
+                # already have left: a retry would deliver them twice.
+                if not self._fault_tolerance:
+                    raise
                 attempts += 1
                 self._counters.add("part_step_retries")
                 if attempts > self._max_retries:
@@ -1543,66 +1543,90 @@ class SyncEngine:
         return result
 
     def _attempt_part_step(self, part: int, view: Any, step: int) -> _PartStepResult:
-        if self._plan.no_collect:
-            return self._attempt_part_step_no_collect(part, view, step)
+        """One attempt at one part's step: collect, invoke, commit.
+
+        Only collect-and-invoke depends on the plan (:meth:`_collect`);
+        the writer, creation staging, commit point and result are
+        shared, so fault tolerance, shipping, and counters behave the
+        same on every path.
+        """
         tracer = self._tracer
         t_start = time.perf_counter()
         # Lane resolves from the executing runtime thread (worker-<i>).
         with tracer.span("part-step", cat="engine", part=part, step=step):
-            if self._batch_compute:
-                return self._part_step_body_batch(part, view, step, t_start)
-            return self._part_step_body(part, view, step, t_start)
+            with tracer.span("collect", cat="engine", part=part, step=step):
+                invoke, creations, consumed = self._collect(view, step)
+            writer = self._make_writer(part, step + 1, step, hold=self._fault_tolerance)
+            ctx = _StepContext(self, part, step, writer)
+            # stage created-state requests (they do not enable by
+            # themselves); like all state writes they commit in batch at
+            # the commit point
+            base_ctx = _SimpleBaseContext(step)
+            for dest_key, created in creations.items():
+                for tab_idx, state in self._merge_creations(base_ctx, dest_key, created):
+                    ctx._stage(tab_idx, dest_key, state)
+            try:
+                invoke(ctx, part, step)
+            except SimulatedFailure:
+                writer.discard()
+                raise
 
-    def _part_step_body_batch(
-        self, part: int, view: Any, step: int, t_start: float
-    ) -> _PartStepResult:
-        """The columnar part-step: spills stay columns end to end.
+            # ---- commit point ----
+            t_commit = time.perf_counter()
+            with tracer.span("commit", cat="engine", part=part, step=step):
+                self._commit_part_step(ctx, writer, view, consumed, part, step)
+            t_done = time.perf_counter()
+            result = _PartStepResult(
+                ctx.agg_partials,
+                ctx.invocations,
+                writer.records_written,
+                compute_seconds=t_commit - t_start,
+                flush_seconds=t_done - t_commit,
+                finished_sum=t_done,
+                n_timed=1,
+            )
+            result.part_seconds = {part: t_done - t_start}
+            if self._is_shipped:
+                result.outputs = ctx.direct_outputs
+            return result
 
-        Collect lifts each spill's key/payload arrays as chunks, one
-        stable vectorized sort groups them by destination, and the job's
-        ``compute_batch`` is invoked over column slices instead of once
-        per component.  Staged state and the commit point are shared
-        with the per-key path (same write-back cache, same
-        ``put_many``-per-table commit), so fault tolerance, shipping,
-        and counters behave identically.
+    def _collect(self, view: Any, step: int) -> Tuple[Any, Dict[Any, list], List[tuple]]:
+        """Read one part's input spills for *step* the way the plan uses them.
+
+        Returns ``(invoke, creations, consumed)``: ``invoke(ctx, part,
+        step)`` runs the step's compute invocations over what was
+        collected, *creations* maps each created key to its
+        ``(tab_idx, state)`` requests, and *consumed* lists the
+        transport keys read.
         """
-        tracer = self._tracer
-        fallback = False
-        with tracer.span("collect", cat="engine", part=part, step=step):
+        if self._plan.no_collect:
+            deliveries, triples, consumed = scan_step_records_no_collect(view, step)
+            return partial(self._invoke_deliveries, deliveries), _by_key(triples), consumed
+        if self._batch_compute:
             cols = collect_step_columns(view, step)
             try:
                 group_keys, batch = group_step_columns(cols)
             except TypeError:
                 # keys not mutually orderable — nothing was deleted or
-                # written yet, so the per-key path re-drives the spills
-                fallback = True
-        if fallback:
-            self._counters.add("batch_fallbacks")
-            return self._part_step_body(part, view, step, t_start)
+                # written yet, so the per-key path re-reads the spills
+                self._counters.add("batch_fallbacks")
+            else:
+                invoke = partial(self._invoke_batches, group_keys, batch)
+                return invoke, _by_key(cols.creates), cols.consumed
+        bundles, consumed = collect_step_records(view, step, self._combiner_for(step))
+        creations = {key: b.created for key, b in bundles.items() if b.created}
+        return partial(self._invoke_bundles, bundles), creations, consumed
 
-        consumed = cols.consumed
-        if not self._fault_tolerance:
-            for transport_key in consumed:
-                view.delete(transport_key)
-            consumed = []
-
-        writer = self._make_writer(part, step + 1, step, hold=self._fault_tolerance)
-        ctx = _StepContext(self, part, step, writer)
+    def _invoke_batches(
+        self, group_keys: Any, batch: MessageBatch, ctx: _StepContext, part: int, step: int
+    ) -> None:
+        """The columnar plan: ``compute_batch`` over slices of the
+        destination-grouped columns instead of once per component."""
+        writer = ctx._writer
         bctx = _BatchStepContext(ctx, writer)
-
-        if cols.creates:
-            base_ctx = _SimpleBaseContext(step)
-            merged: Dict[Any, List[Tuple[int, Any]]] = {}
-            for dest_key, tab_idx, state in cols.creates:
-                merged.setdefault(dest_key, []).append((tab_idx, state))
-            for dest_key, created in merged.items():
-                for tab_idx, state in self._merge_creations(base_ctx, dest_key, created):
-                    ctx._stage(tab_idx, dest_key, state)
-
-        one_msg = self._plan.properties.one_msg
         no_continue = self._plan.properties.no_continue
         n = len(group_keys)
-        if one_msg and n:
+        if self._plan.properties.one_msg and n:
             over = np.flatnonzero(batch.counts > 1)
             if len(over):
                 # name the key as the per-key path would: ``tolist``
@@ -1612,7 +1636,6 @@ class SyncEngine:
                     f"job declares one-msg but component {offender!r} received "
                     f"{int(batch.counts[over[0]])} messages in step {step}"
                 )
-
         chunk = self._compute_batch_size
         for lo in range(0, n, chunk):
             hi = min(lo + chunk, n)
@@ -1623,7 +1646,6 @@ class SyncEngine:
             try:
                 cont = self._compute.compute_batch(bctx)
             except SimulatedFailure:
-                writer.discard()
                 raise
             except Exception as exc:  # surface with batch/step context
                 raise ComputeError(f"batch[{lo}:{hi}] of part {part}", step, exc) from exc
@@ -1652,52 +1674,13 @@ class SyncEngine:
                     key_slice if all_continue else key_slice[mask]
                 )
 
-        # ---- commit point (shared with the per-key path) ----
-        t_commit = time.perf_counter()
-        with tracer.span("commit", cat="engine", part=part, step=step):
-            self._commit_part_step(ctx, writer, view, consumed, part, step)
-        t_done = time.perf_counter()
-        result = _PartStepResult(
-            ctx.agg_partials,
-            ctx.invocations,
-            writer.records_written,
-            compute_seconds=t_commit - t_start,
-            flush_seconds=t_done - t_commit,
-            finished_sum=t_done,
-            n_timed=1,
-        )
-        result.part_seconds = {part: t_done - t_start}
-        if self._is_shipped:
-            result.outputs = ctx.direct_outputs
-        return result
-
-    def _part_step_body(self, part: int, view: Any, step: int, t_start: float) -> _PartStepResult:
-        tracer = self._tracer
-        combiner = self._combiner_for(step)
-        with tracer.span("collect", cat="engine", part=part, step=step):
-            bundles, consumed = collect_step_records(view, step, combiner)
-        if not self._fault_tolerance:
-            # no retry possible ⇒ no need to retain the input spills;
-            # dropping them now frees the raw record lists before the
-            # computes allocate this step's outgoing messages
-            for transport_key in consumed:
-                view.delete(transport_key)
-            consumed = []
-
-        writer = self._make_writer(part, step + 1, step, hold=self._fault_tolerance)
-        ctx = _StepContext(self, part, step, writer)
-
-        # stage created-state requests (they do not enable by themselves);
-        # like all state writes they commit in batch at the commit point
-        base_ctx = _SimpleBaseContext(step)
-        for dest_key, bundle in bundles.items():
-            for tab_idx, state in self._merge_creations(base_ctx, dest_key, bundle.created):
-                ctx._stage(tab_idx, dest_key, state)
-
+    def _invoke_bundles(
+        self, bundles: Dict[Any, Any], ctx: _StepContext, part: int, step: int
+    ) -> None:
+        """The per-key plan: one ``compute`` per enabled bundle."""
         enabled = [key for key, b in bundles.items() if b.enabled]
         if not self._plan.no_sort:
             enabled.sort()
-
         no_continue = self._plan.properties.no_continue
         one_msg = self._plan.properties.one_msg
         for key in enabled:
@@ -1710,43 +1693,58 @@ class SyncEngine:
                     f"job declares one-msg but component {key!r} received "
                     f"{len(bundle.messages)} messages in step {step}"
                 )
-            ctx._bind(key, bundle.messages)
-            if self._failure_injector is not None:
-                self._failure_injector.check(part, step)
-            try:
-                cont = bool(self._compute.compute(ctx))
-            except SimulatedFailure:
-                writer.discard()
-                raise
-            except Exception as exc:  # surface with key/step context
-                raise ComputeError(key, step, exc) from exc
-            ctx._finish_invocation()
-            if cont:
+            if self._invoke(ctx, part, step, key, bundle.messages):
                 if no_continue:
                     raise PropertyViolationError(
                         f"job declares no-continue but component {key!r} "
                         f"returned the positive signal in step {step}"
                     )
-                writer.add((CONT, key))
+                ctx._writer.add((CONT, key))
 
-        # ---- commit point ----
-        t_commit = time.perf_counter()
-        with tracer.span("commit", cat="engine", part=part, step=step):
-            self._commit_part_step(ctx, writer, view, consumed, part, step)
-        t_done = time.perf_counter()
-        result = _PartStepResult(
-            ctx.agg_partials,
-            ctx.invocations,
-            writer.records_written,
-            compute_seconds=t_commit - t_start,
-            flush_seconds=t_done - t_commit,
-            finished_sum=t_done,
-            n_timed=1,
-        )
-        result.part_seconds = {part: t_done - t_start}
-        if self._is_shipped:
-            result.outputs = ctx.direct_outputs
-        return result
+    def _invoke_deliveries(
+        self, deliveries: List[Tuple[Any, Any]], ctx: _StepContext, part: int, step: int
+    ) -> None:
+        """The no-collect plan (§II-A, one-msg ∧ no-continue): no value
+        lists are built; each delivery drives one compute directly,
+        sorted by key only when the job asks for ordering."""
+        seen: set = set()
+        for dest_key, payload in deliveries:
+            if payload is not NO_MESSAGE:
+                if dest_key in seen:
+                    raise PropertyViolationError(
+                        f"job declares one-msg but component {dest_key!r} received "
+                        f"multiple messages in step {step}"
+                    )
+                seen.add(dest_key)
+        # a bare enable is redundant for a component that also got a message
+        deliveries = [
+            d for d in deliveries if not (d[1] is NO_MESSAGE and d[0] in seen)
+        ]
+        if not self._plan.no_sort:
+            deliveries.sort(key=lambda pair: pair[0])
+        for dest_key, message in deliveries:
+            messages = [] if message is NO_MESSAGE else [message]
+            if self._invoke(ctx, part, step, dest_key, messages):
+                raise PropertyViolationError(
+                    f"job declares no-continue but component {dest_key!r} "
+                    f"returned the positive signal in step {step}"
+                )
+
+    def _invoke(
+        self, ctx: _StepContext, part: int, step: int, key: Any, messages: List[Any]
+    ) -> bool:
+        """One per-key ``compute`` invocation; returns its continue signal."""
+        ctx._bind(key, messages)
+        if self._failure_injector is not None:
+            self._failure_injector.check(part, step)
+        try:
+            cont = bool(self._compute.compute(ctx))
+        except SimulatedFailure:
+            raise
+        except Exception as exc:  # surface with key/step context
+            raise ComputeError(key, step, exc) from exc
+        ctx._finish_invocation()
+        return cont
 
     def _commit_part_step(
         self,
@@ -1805,89 +1803,6 @@ class SyncEngine:
                     },
                 )
             self._progress.mark_completed(part, step)
-
-    def _attempt_part_step_no_collect(self, part: int, view: Any, step: int) -> _PartStepResult:
-        """The no-collect execution path (§II-A, one-msg ∧ no-continue).
-
-        No value lists are constructed; each record drives one compute
-        invocation directly, sorted by key only when the job asks for
-        ordering.
-        """
-        from repro.ebsp.transport import NO_MESSAGE, scan_step_records_no_collect
-
-        tracer = self._tracer
-        t_start = time.perf_counter()
-        with tracer.span("part-step", cat="engine", part=part, step=step):
-            return self._part_step_body_no_collect(part, view, step, t_start)
-
-    def _part_step_body_no_collect(
-        self, part: int, view: Any, step: int, t_start: float
-    ) -> _PartStepResult:
-        from repro.ebsp.transport import NO_MESSAGE, scan_step_records_no_collect
-
-        tracer = self._tracer
-        with tracer.span("collect", cat="engine", part=part, step=step):
-            deliveries, creations, consumed = scan_step_records_no_collect(view, step)
-        writer = self._make_writer(part, step + 1, step, hold=self._fault_tolerance)
-        ctx = _StepContext(self, part, step, writer)
-        base_ctx = _SimpleBaseContext(step)
-        merged: Dict[Any, List[Tuple[int, Any]]] = {}
-        for dest_key, tab_idx, state in creations:
-            merged.setdefault(dest_key, []).append((tab_idx, state))
-        for dest_key, created in merged.items():
-            for tab_idx, state in self._merge_creations(base_ctx, dest_key, created):
-                ctx._stage(tab_idx, dest_key, state)
-
-        seen: set = set()
-        for dest_key, payload in deliveries:
-            if payload is not NO_MESSAGE:
-                if dest_key in seen:
-                    raise PropertyViolationError(
-                        f"job declares one-msg but component {dest_key!r} received "
-                        f"multiple messages in step {step}"
-                    )
-                seen.add(dest_key)
-        # a bare enable is redundant for a component that also got a message
-        deliveries = [
-            d for d in deliveries if not (d[1] is NO_MESSAGE and d[0] in seen)
-        ]
-        if not self._plan.no_sort:
-            deliveries.sort(key=lambda pair: pair[0])
-        for dest_key, message in deliveries:
-            ctx._bind(dest_key, [] if message is NO_MESSAGE else [message])
-            if self._failure_injector is not None:
-                self._failure_injector.check(part, step)
-            try:
-                cont = bool(self._compute.compute(ctx))
-            except SimulatedFailure:
-                writer.discard()
-                raise
-            except Exception as exc:
-                raise ComputeError(dest_key, step, exc) from exc
-            ctx._finish_invocation()
-            if cont:
-                raise PropertyViolationError(
-                    f"job declares no-continue but component {dest_key!r} "
-                    f"returned the positive signal in step {step}"
-                )
-
-        t_commit = time.perf_counter()
-        with tracer.span("commit", cat="engine", part=part, step=step):
-            self._commit_part_step(ctx, writer, view, consumed, part, step)
-        t_done = time.perf_counter()
-        result = _PartStepResult(
-            ctx.agg_partials,
-            ctx.invocations,
-            writer.records_written,
-            compute_seconds=t_commit - t_start,
-            flush_seconds=t_done - t_commit,
-            finished_sum=t_done,
-            n_timed=1,
-        )
-        result.part_seconds = {part: t_done - t_start}
-        if self._is_shipped:
-            result.outputs = ctx.direct_outputs
-        return result
 
     def _merge_creations(
         self, ctx: BaseContext, key: Any, created: List[Tuple[int, Any]]

@@ -8,17 +8,28 @@
 
 A spill key is ``(dest_part, step, src_part, seq)``; the transport
 table's ``key_hash`` is the first element, so the store physically
-places the spill at its destination.  A spill's value is a list of
-records:
+places the spill at its destination.  A spill carries three kinds of
+record:
 
-``("m", dest_key, payload)``
-    an application message for *dest_key*;
-``("c", dest_key)``
+*messages* (kind ``"m"``)
+    an application message for a destination key;
+*continues* (kind ``"c"``)
     a continue/enable signal — "the implementation of the continue
     signal transforms a positive one into a special kind of BSP
-    message" — which enables *dest_key* without carrying data;
-``("n", dest_key, tab_idx, state)``
-    a created-state request for a new component.
+    message" — which enables a destination key without carrying data;
+*creations* (kind ``"n"``)
+    a created-state request ``(key, tab_idx, state)`` for a new
+    component.
+
+A spill's value is struct-of-arrays: ``(msg_keys, msg_payloads,
+cont_keys, creates)``.  Message keys and payloads are two aligned
+columns (a homogeneous numpy payload column packs into one typed
+array), continue keys are one column, and creations are a list of
+triples — no per-record tuple or kind tag reaches the pickle stream.
+Columns written by the batch data plane stay typed numpy arrays.
+Message order per destination is preserved (messages stay in send
+order relative to each other), which is all the delivery contract
+requires; continue and creation records carry no ordering semantics.
 
 Spill transport is *pipelined*: a full buffer does not turn into a
 blocking cross-partition put.  Completed buffers accumulate into
@@ -27,27 +38,10 @@ per-destination-part batches, each batch is dispatched asynchronously
 window, and :meth:`SpillWriter.flush_all` is the gather point that
 joins every outstanding future — so the engine overlaps compute with
 transport inside a part-step and still owns a durable commit point.
-
-A sealed spill can be marshalled in one of two codecs:
-
-- the *record-list* codec: the buffered record tuples, pickled as-is
-  (the original format, kept for A/B comparison);
-- the *compact* codec (``compact=True``): a struct-of-arrays encoding
-  — message keys, message payloads, continue keys, and created-state
-  triples in four flat lists — which drops the per-record tuple and
-  kind-tag overhead from the pickle stream.  Message order per
-  destination is preserved (messages stay in send order relative to
-  each other), which is all the delivery contract requires; continue
-  and creation records carry no ordering semantics.
-
-Readers accept both formats via :func:`iter_spill_records`, so a
-transport table may hold a mix (e.g. when a loader and the engine are
-configured differently).
 """
 
 from __future__ import annotations
 
-import pickle
 import threading
 from collections import deque
 from concurrent.futures import Future
@@ -69,79 +63,23 @@ CREATE = "n"
 #: Source-part id used for records originating at the client (loaders).
 CLIENT_SRC = -1
 
-#: First element of a compact (struct-of-arrays) spill value.  The
-#: leading NUL keeps it from colliding with application record kinds.
-COMPACT_MARKER = "\x00soa1"
+
+def is_spill(value: Any) -> bool:
+    """Whether *value* has the spill format.  Older versions wrote a
+    tagged 5-tuple or a list of record tuples; checkpoints may hold them."""
+    return type(value) is tuple and len(value) == 4
 
 
-def encode_spill(records: List[tuple]) -> tuple:
-    """Struct-of-arrays encoding of a sealed spill's record list.
-
-    Returns ``(COMPACT_MARKER, msg_keys, msg_payloads, cont_keys,
-    creates)`` where *creates* is a list of ``(key, tab_idx, state)``
-    triples.  Relative order within each record kind is preserved.
-    """
-    msg_keys: List[Any] = []
-    msg_payloads: List[Any] = []
-    cont_keys: List[Any] = []
-    creates: List[Tuple[Any, int, Any]] = []
-    for record in records:
-        kind = record[0]
-        if kind == MSG:
-            msg_keys.append(record[1])
-            msg_payloads.append(record[2])
-        elif kind == CONT:
-            cont_keys.append(record[1])
-        elif kind == CREATE:
-            creates.append((record[1], record[2], record[3]))
-        else:
-            raise ValueError(f"unknown transport record kind {kind!r}")
-    return (
-        COMPACT_MARKER,
-        msg_keys,
-        pack_payload_column(msg_payloads),
-        cont_keys,
-        creates,
-    )
+def spill_record_count(value: tuple) -> int:
+    """Number of records in a spill value."""
+    msg_keys, _, cont_keys, creates = value
+    return len(msg_keys) + len(cont_keys) + len(creates)
 
 
-def is_compact_spill(value: Any) -> bool:
-    """Whether *value* is a compact-codec spill (vs a raw record list)."""
-    return (
-        type(value) is tuple and len(value) == 5 and value[0] == COMPACT_MARKER
-    )
-
-
-def iter_spill_records(value: Any) -> Iterator[tuple]:
-    """Yield the record tuples of a spill value, whichever codec it uses.
-
-    Key columns written by the batch data plane arrive as typed numpy
-    arrays; for per-record readers they are lowered back to Python
-    scalars (``tolist``) so key identity matches per-key writes.
-    Payload columns unpack dtype-preserving (numpy scalars stay numpy).
-    """
-    if is_compact_spill(value):
-        _, msg_keys, msg_payloads, cont_keys, creates = value
-        if isinstance(msg_keys, np.ndarray):
-            msg_keys = msg_keys.tolist()
-        for key, payload in zip(msg_keys, unpack_payload_column(msg_payloads)):
-            yield (MSG, key, payload)
-        if isinstance(cont_keys, np.ndarray):
-            cont_keys = cont_keys.tolist()
-        for key in cont_keys:
-            yield (CONT, key)
-        for key, tab_idx, state in creates:
-            yield (CREATE, key, tab_idx, state)
-    else:
-        for record in value:
-            yield record
-
-
-def spill_record_count(value: Any) -> int:
-    """Number of records in a spill value, whichever codec it uses."""
-    if is_compact_spill(value):
-        return len(value[1]) + len(value[3]) + len(value[4])
-    return len(value)
+def _scalar_keys(keys: Any) -> Any:
+    """A spill's key column with typed arrays lowered to Python scalars,
+    so per-record readers see the key identity per-key writers use."""
+    return keys.tolist() if isinstance(keys, np.ndarray) else keys
 
 
 #: Integer columns spanning fewer values than this sort as ``uint16``.
@@ -199,21 +137,48 @@ def step_spills(view: Any, step: int) -> List[Tuple[tuple, Any]]:
     return matched
 
 
+class _RecordBuffer:
+    """One destination's per-record traffic, buffered as spill columns.
+
+    Records land straight in the columns the sealed spill carries, so
+    sealing is a pack of the payload column, not a pass over tuples.
+    *combine_at* maps a destination key to the index of its buffered
+    message payload, for sender-side combining.
+    """
+
+    __slots__ = ("msg_keys", "msg_payloads", "cont_keys", "creates", "combine_at", "count")
+
+    def __init__(self) -> None:
+        self.msg_keys: List[Any] = []
+        self.msg_payloads: List[Any] = []
+        self.cont_keys: List[Any] = []
+        self.creates: List[Tuple[Any, int, Any]] = []
+        self.combine_at: Dict[Any, int] = {}
+        self.count = 0
+
+
+#: Transport pipeline shape: at most this many spill dispatches in
+#: flight per writer ...
+SPILL_WINDOW = 8
+#: ... each carrying up to this many sealed spills for one destination.
+SPILL_COALESCE = 4
+
+
 class SpillWriter:
     """Accumulates outgoing records per destination part and spills them.
 
     One SpillWriter serves one source part for one step.  Records are
     buffered per destination part; a buffer reaching *batch_size* is
-    *sealed* into a spill — a unique transport key plus its record list.
+    *sealed* into a spill — a unique transport key plus its columns.
 
-    With ``pipelined=True`` (the default) sealed spills are not written
-    with blocking puts.  They accumulate into per-destination batches of
-    up to *spills_per_batch*, and each batch is dispatched with one
-    asynchronous, once-marshalled request (``put_many_async``) while the
-    producing computation keeps running.  At most *max_in_flight*
-    dispatches may be outstanding — the bounded window that keeps memory
-    and queue depth in check — and :meth:`flush_all` is the gather point
-    that seals, dispatches, and joins everything.
+    Sealed spills are not written with blocking puts.  They accumulate
+    into per-destination batches of up to *spills_per_batch*, and each
+    batch is dispatched with one asynchronous, once-marshalled request
+    (``put_many_async``) while the producing computation keeps running.
+    At most *max_in_flight* dispatches may be outstanding — the bounded
+    window that keeps memory and queue depth in check — and
+    :meth:`flush_all` is the gather point that seals, dispatches, and
+    joins everything.
 
     When *hold* is set (fault-tolerant execution), nothing reaches the
     transport table until :meth:`flush_all` — the part-step's commit
@@ -239,10 +204,8 @@ class SpillWriter:
         hold: bool = False,
         on_spill: Optional[Callable[[int, int], None]] = None,
         combiner: Optional[Callable[[Any, Any], Any]] = None,
-        pipelined: bool = True,
-        max_in_flight: int = 8,
-        spills_per_batch: int = 1,
-        compact: bool = False,
+        max_in_flight: int = SPILL_WINDOW,
+        spills_per_batch: int = SPILL_COALESCE,
         tracer: Any = None,
         part_of_many: Optional[Callable[[Any], Any]] = None,
         vector_combiner: Optional[Callable[[Any, Any], tuple]] = None,
@@ -261,27 +224,23 @@ class SpillWriter:
         self._hold = hold
         self._on_spill = on_spill
         self._combiner = combiner
-        self._pipelined = pipelined
         self._max_in_flight = max(1, max_in_flight)
         self._spills_per_batch = max(1, spills_per_batch)
-        self._compact = compact
-        self._buffers: Dict[int, List[tuple]] = {}
+        self._buffers: Dict[int, _RecordBuffer] = {}
         # columnar buffers (batch data plane): dest_part -> list of
         # (keys_array, payloads_array | None-for-continues) chunks
         self._col_buffers: Dict[int, List[tuple]] = {}
         self._col_counts: Dict[int, int] = {}
-        # per destination part: dest_key -> index of its buffered MSG
-        # record, for sender-side combining
-        self._combine_index: Dict[int, Dict[Any, int]] = {}
         # dest_key -> dest_part; destinations repeat heavily within a
         # part-step, and the hash behind part_of is the routing hot path
         self._dest_part_cache: Dict[Any, int] = {}
-        # sealed spills awaiting dispatch: dest_part -> [(key, records)]
+        # sealed spills awaiting dispatch: dest_part -> [(key, value)]
         self._ready: Dict[int, List[tuple]] = {}
         self._in_flight: Deque[Future] = deque()
-        # A loader's writer is shared by every partition's enumeration
-        # thread, so seq assignment, the ready batches, and the in-flight
-        # window need real mutual exclusion (buffer appends are GIL-safe).
+        # The add methods serve one producer at a time: a caller feeding
+        # one writer from several threads (the engine's loader context)
+        # serializes its calls.  The lock guards seq assignment, the
+        # ready batches and the in-flight window against flush/discard.
         self._lock = threading.Lock()
         self._seq = 0
         self.records_written = 0
@@ -291,47 +250,47 @@ class SpillWriter:
         self.spills_sealed = 0
         self.batches_dispatched = 0
         self.in_flight_hwm = 0
-        # one-shot codec A/B sample: the first sealed spill of a compact
-        # writer is pickled in both codecs to measure the byte delta
-        self.codec_sample_raw_bytes = 0
-        self.codec_sample_compact_bytes = 0
 
     def add(self, record: tuple) -> None:
-        dest_key = record[1]
+        """Buffer one ``(MSG, key, payload)``, ``(CONT, key)`` or
+        ``(CREATE, key, tab_idx, state)`` record for its destination."""
         kind = record[0]
-        if kind == MSG:
-            self.messages_added += 1
-        elif kind == CONT:
-            self.continues_added += 1
+        if kind not in (MSG, CONT, CREATE):
+            raise ValueError(f"unknown transport record kind {kind!r}")
+        dest_key = record[1]
         dest_part = self._dest_part_cache.get(dest_key)
         if dest_part is None:
-            try:
-                dest_part = self._part_of(dest_key)
-                self._dest_part_cache[dest_key] = dest_part
-            except TypeError:  # unhashable key: route without caching
-                dest_part = self._part_of(dest_key)
-        buffer = self._buffers.setdefault(dest_part, [])
-        if kind == MSG and self._combiner is not None:
-            # sender-side combining: merge with the still-buffered
-            # message for the same destination, when the combiner accepts
-            index = self._combine_index.setdefault(dest_part, {})
-            at = index.get(dest_key)
-            if at is not None:
-                combined = self._combiner(buffer[at][2], record[2])
-                if combined is not None:
-                    buffer[at] = (MSG, dest_key, combined)
-                    self.messages_combined += 1
-                    return
-            index[dest_key] = len(buffer)
-        buffer.append(record)
-        if not self._hold and len(buffer) >= self._batch_size:
+            dest_part = self._part_of(dest_key)
+            self._dest_part_cache[dest_key] = dest_part
+        buffer = self._buffers.get(dest_part)
+        if buffer is None:
+            buffer = self._buffers[dest_part] = _RecordBuffer()
+        if kind == MSG:
+            self.messages_added += 1
+            payload = record[2]
+            if self._combiner is not None:
+                # sender-side combining: merge with the still-buffered
+                # message for the same destination, when the combiner accepts
+                at = buffer.combine_at.get(dest_key)
+                if at is not None:
+                    combined = self._combiner(buffer.msg_payloads[at], payload)
+                    if combined is not None:
+                        buffer.msg_payloads[at] = combined
+                        self.messages_combined += 1
+                        return
+                buffer.combine_at[dest_key] = len(buffer.msg_payloads)
+            buffer.msg_keys.append(dest_key)
+            buffer.msg_payloads.append(payload)
+        elif kind == CONT:
+            self.continues_added += 1
+            buffer.cont_keys.append(dest_key)
+        else:
+            buffer.creates.append((dest_key, record[2], record[3]))
+        buffer.count += 1
+        if not self._hold and buffer.count >= self._batch_size:
             with self._lock:
                 self._seal(dest_part)
-                if self._pipelined:
-                    if len(self._ready.get(dest_part, ())) >= self._spills_per_batch:
-                        self._dispatch(dest_part)
-                else:
-                    self._dispatch(dest_part)
+                self._dispatch_when_full(dest_part)
 
     # -- columnar (batch data plane) ------------------------------------
 
@@ -348,8 +307,8 @@ class SpillWriter:
         """Add one message per ``dest_keys[i]`` with payload ``payloads[i]``.
 
         Columns are routed to destination parts in one vectorized pass
-        and buffered as array chunks; they seal directly into compact
-        spills without ever materializing per-record tuples.  When a
+        and buffered as array chunks; they seal directly into spills
+        without ever materializing per-record tuples.  When a
         *vector_combiner* is installed, the column is pre-combined per
         destination key before routing (the batch analogue of
         sender-side combining).
@@ -413,21 +372,12 @@ class SpillWriter:
         if not self._hold and count >= self._batch_size:
             with self._lock:
                 self._seal_columns(dest_part)
-                if self._pipelined:
-                    if len(self._ready.get(dest_part, ())) >= self._spills_per_batch:
-                        self._dispatch(dest_part)
-                else:
-                    self._dispatch(dest_part)
+                self._dispatch_when_full(dest_part)
 
     def _seal_columns(self, dest_part: int) -> None:
-        """Seal the columnar buffer for *dest_part* into a compact spill.
-
-        The spill value is the same struct-of-arrays tuple the compact
-        codec produces, except the key and payload columns stay typed
-        numpy arrays — readers on the other side either lift them into
-        batches directly (:func:`collect_step_columns`) or lower them
-        per record (:func:`iter_spill_records`).
-        """
+        """Seal the columnar buffer for *dest_part* into a spill whose key
+        and payload columns stay typed numpy arrays — readers lift them
+        into batches directly (:func:`collect_step_columns`)."""
         chunks = self._col_buffers.pop(dest_part, None)
         count = self._col_counts.pop(dest_part, 0)
         if not chunks:
@@ -442,56 +392,47 @@ class SpillWriter:
             np.concatenate(payload_chunks) if payload_chunks else []
         )
         cont_keys: Any = np.concatenate(cont_chunks) if cont_chunks else []
-        key = (dest_part, self._step, self._src_part, self._seq)
-        self._seq += 1
-        value = (COMPACT_MARKER, msg_keys, msg_payloads, cont_keys, [])
-        self._ready.setdefault(dest_part, []).append((key, value))
-        self.spills_sealed += 1
-        self.records_written += count
         if self._tracer.enabled:
             self._tracer.instant(
                 "spill.seal_columns", cat="transport", dest=dest_part, records=count
             )
+        self._stage_spill(dest_part, (msg_keys, msg_payloads, cont_keys, []), count)
+
+    def _seal(self, dest_part: int) -> None:
+        """Turn a record buffer into a spill ready for dispatch.
+
+        Sealing retires the buffer's combiner index with the buffer:
+        later messages for the same destinations start a fresh buffer
+        and must not reach back into records already on their way out.
+        """
+        buffer = self._buffers.pop(dest_part, None)
+        if buffer is None or not buffer.count:
+            return
+        if self._tracer.enabled:
+            self._tracer.instant(
+                "spill.seal", cat="transport", dest=dest_part, records=buffer.count
+            )
+        value = (
+            buffer.msg_keys,
+            pack_payload_column(buffer.msg_payloads),
+            buffer.cont_keys,
+            buffer.creates,
+        )
+        self._stage_spill(dest_part, value, buffer.count)
+
+    def _stage_spill(self, dest_part: int, value: tuple, count: int) -> None:
+        """Give a sealed spill its transport key and queue it for dispatch."""
+        key = (dest_part, self._step, self._src_part, self._seq)
+        self._seq += 1
+        self._ready.setdefault(dest_part, []).append((key, value))
+        self.spills_sealed += 1
+        self.records_written += count
         if self._on_spill is not None:
             self._on_spill(dest_part, count)
 
-    def _seal(self, dest_part: int) -> None:
-        """Turn a buffer into a spill (key + records) ready for dispatch.
-
-        Sealing retires the buffer's combiner index: later messages for
-        the same destinations start a fresh buffer and must not reach
-        back into records that are already on their way out.
-        """
-        buffer = self._buffers.pop(dest_part, None)
-        self._combine_index.pop(dest_part, None)
-        if not buffer:
-            return
-        span = None
-        if self._tracer.enabled:
-            span = self._tracer.span(
-                "spill.seal", cat="transport", dest=dest_part, records=len(buffer)
-            )
-            span.__enter__()
-        key = (dest_part, self._step, self._src_part, self._seq)
-        self._seq += 1
-        if self._compact:
-            value: Any = encode_spill(buffer)
-            if not self.codec_sample_compact_bytes:
-                self.codec_sample_raw_bytes = len(
-                    pickle.dumps(buffer, protocol=pickle.HIGHEST_PROTOCOL)
-                )
-                self.codec_sample_compact_bytes = len(
-                    pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
-                )
-        else:
-            value = buffer
-        self._ready.setdefault(dest_part, []).append((key, value))
-        self.spills_sealed += 1
-        self.records_written += len(buffer)
-        if span is not None:
-            span.__exit__(None, None, None)
-        if self._on_spill is not None:
-            self._on_spill(dest_part, len(buffer))
+    def _dispatch_when_full(self, dest_part: int) -> None:
+        if len(self._ready.get(dest_part, ())) >= self._spills_per_batch:
+            self._dispatch(dest_part)
 
     def _dispatch(self, dest_part: int) -> None:
         """Send one destination's sealed spills as a single batched request."""
@@ -503,12 +444,6 @@ class SpillWriter:
                 "spill.dispatch", cat="transport", dest=dest_part, spills=len(batch)
             )
         self.batches_dispatched += 1
-        if not self._pipelined:
-            # blocking transport: one synchronous put per spill, exactly
-            # the pre-pipeline behavior (kept for ablation benchmarks)
-            for key, records in batch:
-                self._transport.put(key, records)
-            return
         self._in_flight.extend(self._transport.put_many_async(batch))
         depth = len(self._in_flight)
         if depth > self.in_flight_hwm:
@@ -535,7 +470,6 @@ class SpillWriter:
         part-step under *hold*); joins any spills already in flight."""
         with self._lock:
             self._buffers.clear()
-            self._combine_index.clear()
             self._col_buffers.clear()
             self._col_counts.clear()
             for batch in self._ready.values():
@@ -596,18 +530,11 @@ def scan_step_records_no_collect(
     deliveries: List[Tuple[Any, Any]] = []
     creations: List[Tuple[Any, int, Any]] = []
     consumed: List[tuple] = []
-    for key, records in step_spills(view, step):
+    for key, (msg_keys, msg_payloads, cont_keys, creates) in step_spills(view, step):
         consumed.append(key)
-        for record in iter_spill_records(records):
-            kind = record[0]
-            if kind == MSG:
-                deliveries.append((record[1], record[2]))
-            elif kind == CREATE:
-                creations.append((record[1], record[2], record[3]))
-            elif kind == CONT:
-                deliveries.append((record[1], NO_MESSAGE))
-            else:
-                raise ValueError(f"unknown transport record kind {kind!r}")
+        deliveries.extend(zip(_scalar_keys(msg_keys), msg_payloads))
+        deliveries.extend((dest_key, NO_MESSAGE) for dest_key in _scalar_keys(cont_keys))
+        creations.extend(creates)
     return deliveries, creations, consumed
 
 
@@ -615,9 +542,9 @@ class StepColumns:
     """One part's incoming traffic for a step, kept as columns.
 
     The batch collect path never explodes spills into per-record
-    tuples: compact spills contribute their key/payload arrays as-is,
-    and only legacy record-list spills pay a per-record scan.  Creation
-    records are rare (mutating jobs only) and stay a plain triple list.
+    tuples: each spill contributes its key/payload columns as chunks.
+    Creation records are rare (mutating jobs only) and stay a plain
+    triple list.
     """
 
     __slots__ = (
@@ -699,39 +626,17 @@ def collect_step_columns(view: Any, step: int) -> StepColumns:
     vectorized form (:func:`group_step_columns`).
     """
     cols = StepColumns()
-    for key, value in step_spills(view, step):
+    for key, (msg_keys, msg_payloads, cont_keys, creates) in step_spills(view, step):
         cols.consumed.append(key)
-        if is_compact_spill(value):
-            _, msg_keys, msg_payloads, cont_keys, creates = value
-            if len(msg_keys):
-                cols.msg_key_chunks.append(_key_chunk_array(msg_keys))
-                arr = payload_column_array(msg_payloads)
-                if arr is None:
-                    arr = _object_column(unpack_payload_column(msg_payloads))
-                cols.msg_payload_chunks.append(arr)
-            if len(cont_keys):
-                cols.cont_key_chunks.append(_key_chunk_array(cont_keys))
-            cols.creates.extend(creates)
-        else:
-            mk: List[Any] = []
-            mp: List[Any] = []
-            ck: List[Any] = []
-            for record in value:
-                kind = record[0]
-                if kind == MSG:
-                    mk.append(record[1])
-                    mp.append(record[2])
-                elif kind == CONT:
-                    ck.append(record[1])
-                elif kind == CREATE:
-                    cols.creates.append((record[1], record[2], record[3]))
-                else:
-                    raise ValueError(f"unknown transport record kind {kind!r}")
-            if mk:
-                cols.msg_key_chunks.append(_key_chunk_array(mk))
-                cols.msg_payload_chunks.append(_object_column(mp))
-            if ck:
-                cols.cont_key_chunks.append(_key_chunk_array(ck))
+        if len(msg_keys):
+            cols.msg_key_chunks.append(_key_chunk_array(msg_keys))
+            arr = payload_column_array(msg_payloads)
+            if arr is None:
+                arr = _object_column(unpack_payload_column(msg_payloads))
+            cols.msg_payload_chunks.append(arr)
+        if len(cont_keys):
+            cols.cont_key_chunks.append(_key_chunk_array(cont_keys))
+        cols.creates.extend(creates)
     return cols
 
 
@@ -833,22 +738,23 @@ def collect_step_records(
     """
     bundles: Dict[Any, CombiningBundle] = {}
     consumed: List[tuple] = []
-    for key, records in step_spills(view, step):
+
+    def bundle_of(dest_key: Any) -> CombiningBundle:
+        bundle = bundles.get(dest_key)
+        if bundle is None:
+            bundle = bundles[dest_key] = CombiningBundle()
+        return bundle
+
+    for key, (msg_keys, msg_payloads, cont_keys, creates) in step_spills(view, step):
         consumed.append(key)
-        for record in iter_spill_records(records):
-            kind = record[0]
-            dest_key = record[1]
+        for dest_key, payload in zip(_scalar_keys(msg_keys), msg_payloads):
             bundle = bundles.get(dest_key)
             if bundle is None:
-                bundle = CombiningBundle()
-                bundles[dest_key] = bundle
-            if kind == MSG:
-                bundle.add_message(record[2], combiner)
-                bundle.enabled = True
-            elif kind == CONT:
-                bundle.enabled = True
-            elif kind == CREATE:
-                bundle.created.append((record[2], record[3]))
-            else:
-                raise ValueError(f"unknown transport record kind {kind!r}")
+                bundle = bundles[dest_key] = CombiningBundle()
+            bundle.add_message(payload, combiner)
+            bundle.enabled = True
+        for dest_key in _scalar_keys(cont_keys):
+            bundle_of(dest_key).enabled = True
+        for dest_key, tab_idx, state in creates:
+            bundle_of(dest_key).created.append((tab_idx, state))
     return bundles, consumed

@@ -28,7 +28,7 @@ Transport
 One duplex pipe per worker.  A task travels as **one** pickle — the
 ``(fn, args)`` payload is marshalled once in the parent and the bytes
 pass through :meth:`Connection.send` untouched, so routing a sealed
-compact-codec spill batch to its owner process costs one object-graph
+struct-of-arrays spill batch to its owner process costs one object-graph
 pickle, not two.  Results, exceptions, and recorded trace spans travel
 back the same way; a per-child parent listener thread resolves
 futures, folds per-worker busy time into the shared counters, and

@@ -131,14 +131,14 @@ class Codec:
 
 # -- columnar message payloads -------------------------------------------------
 #
-# The compact spill codec stores message payloads as one column per
-# spill.  When every payload is a numpy scalar (or every payload is a
-# numpy array of one dtype and shape), the column packs into a single
-# typed ndarray — one pickle opcode stream for the whole column instead
-# of one ~60-byte reduce record per element — and unpacking restores
-# the original numpy types exactly.  Python objects (arbitrary ints,
-# tuples, strings, ...) never pack: a Python int can exceed int64, so
-# packing it would be silently lossy.
+# A spill stores its message payloads as one column.  When every
+# payload is a numpy scalar (or every payload is a numpy array of one
+# dtype and shape), the column packs into a single typed ndarray — one
+# pickle opcode stream for the whole column instead of one ~60-byte
+# reduce record per element — and unpacking restores the original
+# numpy types exactly.  Python objects (arbitrary ints, tuples,
+# strings, ...) never pack: a Python int can exceed int64, so packing
+# it would be silently lossy.
 
 
 def pack_payload_column(payloads: Union[list, "np.ndarray"]) -> Any:

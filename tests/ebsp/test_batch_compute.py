@@ -363,11 +363,10 @@ class TestTypedKeyColumns:
         with LocalKVStore(default_n_parts=1) as store:
             transport = create_transport_table(store, "xport", 1)
             ref = store.create_table(TableSpec(name="ref", n_parts=1))
-            # a loader writes Python-int continue keys per record into a
-            # compact spill ...
+            # a loader writes Python-int continue keys per record ...
             loader = SpillWriter(
                 transport, src_part=CLIENT_SRC, step=0, n_parts=1,
-                part_of=ref.part_of, compact=True,
+                part_of=ref.part_of,
             )
             for key in (5, 2, 9):
                 loader.add((CONT, key))

@@ -152,6 +152,46 @@ class TestCheckpointResume:
         assert manager.last_step() is None
         store.close()
 
+    @pytest.mark.parametrize(
+        "retired",
+        [
+            lambda value: ("\x00soa1",) + value,  # the old tagged tuple
+            lambda value: [("m", k, p) for k, p in zip(value[0], value[1])],
+        ],
+        ids=["tagged-tuple", "record-list"],
+    )
+    def test_retired_spill_format_refused(self, tmp_path, retired):
+        """A checkpoint whose spills predate the one spill format fails
+        the resume loudly instead of misreading the spills."""
+        store = LocalKVStore(default_n_parts=4)
+        with pytest.raises(ComputeError, match="driver died"):
+            run_job(
+                store,
+                _chain_job(8, crash_at=4, crash_flag={"hit": False}),
+                fault_tolerance=True,
+                checkpoint_interval=2,
+                checkpoint_dir=str(tmp_path),
+            )
+        store.close()
+        manager = CheckpointManager(store, "TestJob", directory=str(tmp_path))
+        payload = manager.load()
+        assert payload["transport"]
+        payload["transport"] = [
+            (key, retired(value)) for key, value in payload["transport"]
+        ]
+        manager.save(payload["step"], payload)
+
+        resumed = LocalKVStore(default_n_parts=4)
+        with pytest.raises(RecoveryError, match="retired spill format"):
+            run_job(
+                resumed,
+                _chain_job(8),
+                fault_tolerance=True,
+                checkpoint_dir=str(tmp_path),
+                resume=True,
+            )
+        resumed.close()
+
     def test_durable_store_checkpoints_without_directory(self, tmp_path):
         """On a durable store the payload rides a store table — no
         checkpoint directory needed, and resume survives close/reopen."""

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.errors import RecoveryError
+from repro.errors import JobSpecError, RecoveryError
 from repro.ebsp.aggregators import SumAggregator
 from repro.ebsp.exporters import CollectingExporter
 from repro.ebsp.loaders import DictStateLoader, EnableKeysLoader
@@ -155,6 +155,46 @@ class TestRecovery:
         job = TestJob(fn, loaders=[MessageListLoader([(0, 1)])])
         run_job(store, job, fault_tolerance=True, failure_injector=injector)
         assert all(count == 1 for count in received_counts.values())
+
+    def test_injector_without_fault_tolerance_rejected(self, store):
+        """Without fault tolerance nothing a part-step sends is held to
+        its commit point, so retrying an injected failure could deliver
+        it twice (and at one time a retry found its input spills already
+        deleted, ending the job early with a wrong result); the engine
+        refuses the combination up front instead."""
+        injector = FailureInjector()
+        injector.schedule(part=0, step=3, times=1)
+        with pytest.raises(JobSpecError, match="fault_tolerance"):
+            run_job(
+                store,
+                counting_chain_job(10),
+                fault_tolerance=False,
+                failure_injector=injector,
+            )
+        assert injector.failures_injected == 0
+
+    def test_compute_failure_without_fault_tolerance_not_retried(self, store):
+        """A compute that raises SimulatedFailure itself, without fault
+        tolerance, ends the job: the failed attempt's message already
+        left, so re-running the part-step would deliver it twice."""
+        attempts = []
+        received = []
+
+        def fn(ctx):
+            messages = list(ctx.input_messages())
+            if ctx.step_num == 0:
+                ctx.output_message(1, "once")
+                attempts.append(ctx.key)
+                if len(attempts) == 1:
+                    raise SimulatedFailure(0, 0)
+            received.extend(messages)
+            return False
+
+        job = TestJob(fn, loaders=[EnableKeysLoader([0])])
+        with pytest.raises(SimulatedFailure):
+            run_job(store, job, fault_tolerance=False, spill_batch=1)
+        assert attempts == [0]
+        assert received == []
 
     def test_too_many_failures_gives_up(self, store):
         injector = FailureInjector()

@@ -3,9 +3,12 @@
 from __future__ import annotations
 
 import pickle
+import threading
+import time
 
 import pytest
 
+from repro.ebsp.aggregators import SumAggregator
 from repro.ebsp.exporters import (
     CallbackExporter,
     CollectingExporter,
@@ -22,7 +25,11 @@ from repro.ebsp.loaders import (
 )
 from repro.kvstore.api import TableSpec
 from repro.kvstore.local import LocalKVStore
+from repro.ebsp.runner import run_job
+from repro.ebsp.transport import SpillWriter
 from repro.kvstore.partitioned import PartitionedKVStore
+
+from tests.ebsp.jobs import TestJob
 
 
 class FakeLoaderContext(LoaderContext):
@@ -140,6 +147,60 @@ class TestKeysOnlyScan:
         assert unpickled == 0
         assert len(process_ranks) == n_vertices
         assert pickle.dumps(process_ranks) == pickle.dumps(threaded_ranks)
+
+
+class TestConcurrentScanThroughEngine:
+    """A ``fn`` table scan runs on every part's enumeration thread at
+    once, all feeding the engine's one loader context."""
+
+    def test_every_component_receives_its_own_payload(self, monkeypatch):
+        n_keys = 2000
+        received = []
+        loaded = []
+        overlapping = []
+        guards = {}
+        add = SpillWriter.add
+
+        def exclusive_add(writer, record):
+            # a writer serves one producer at a time; yield the GIL
+            # inside each call so a concurrent caller would show up
+            guard = guards.setdefault(id(writer), threading.Lock())
+            if not guard.acquire(blocking=False):
+                overlapping.append(record)
+                return add(writer, record)
+            try:
+                time.sleep(0)
+                return add(writer, record)
+            finally:
+                guard.release()
+
+        monkeypatch.setattr(SpillWriter, "add", exclusive_add)
+
+        def fn(ctx):
+            if ctx.step_num == 0:
+                loaded.append(ctx.get_aggregate_value("loaded"))
+            for message in ctx.input_messages():
+                received.append((ctx.key, message))
+            return False
+
+        def load(ctx, key, value):
+            ctx.send_message(key, (key, value))
+            ctx.enable(key)
+            ctx.aggregate_value("loaded", 1)
+
+        with PartitionedKVStore(n_partitions=4, runtime="threaded") as store:
+            table = store.create_table(TableSpec(name="src", n_parts=4))
+            table.put_many((k, -k) for k in range(n_keys))
+            job = TestJob(
+                fn,
+                loaders=[TableScanLoader(table, load)],
+                aggregators={"loaded": SumAggregator()},
+            )
+            result = run_job(store, job, synchronize=True, spill_batch=7)
+        assert overlapping == []
+        assert sorted(received) == [(k, (k, -k)) for k in range(n_keys)]
+        assert set(loaded) == {n_keys}
+        assert result.counters["records_spilled"] == 2 * n_keys
 
 
 class TestExporters:

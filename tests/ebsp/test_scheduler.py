@@ -89,7 +89,8 @@ class TestLifecycle:
         gate = threading.Event()
 
         def slow(ctx):
-            gate.wait(10)
+            if not gate.wait(10):
+                raise AssertionError("gate never released")
             return False
 
         with JobScheduler(store, max_concurrent=1) as scheduler:
@@ -101,12 +102,14 @@ class TestLifecycle:
             assert queued.state is JobState.CANCELLED
             gate.set()
             assert running.wait(timeout=30)
+            assert running.state is JobState.SUCCEEDED
 
     def test_cancel_running_refused(self, store):
         gate = threading.Event()
 
         def slow(ctx):
-            gate.wait(10)
+            if not gate.wait(10):
+                raise AssertionError("gate never released")
             return False
 
         with JobScheduler(store) as scheduler:
@@ -117,6 +120,7 @@ class TestLifecycle:
             assert not scheduler.cancel(handle.job_id)
             gate.set()
             assert handle.wait(timeout=30)
+            assert handle.state is JobState.SUCCEEDED
 
     def test_submit_after_shutdown(self, store):
         scheduler = JobScheduler(store)

@@ -113,7 +113,8 @@ class TestGracefulClose:
         gate = threading.Event()
 
         def slow(ctx):
-            gate.wait(15)
+            if not gate.wait(15):
+                raise AssertionError("gate never released")
             ctx.write_state(0, "ran")
             return False
 
@@ -139,7 +140,8 @@ class TestGracefulClose:
         gate = threading.Event()
 
         def slow(ctx):
-            gate.wait(15)
+            if not gate.wait(15):
+                raise AssertionError("gate never released")
             ctx.write_state(0, "survived")
             return False
 
@@ -187,18 +189,20 @@ class TestCallbacks:
         gate = threading.Event()
 
         def slow(ctx):
-            gate.wait(10)
+            if not gate.wait(10):
+                raise AssertionError("gate never released")
             return False
 
         seen = []
         with JobScheduler(store, max_concurrent=1) as scheduler:
-            scheduler.submit(
+            running = scheduler.submit(
                 TestJob(slow, state_tables=["cb2"], loaders=[MessageListLoader([(0, 1)])])
             )
             queued = scheduler.submit(chain_job("cb3", 2), on_done=lambda h: seen.append(h.state))
             assert scheduler.cancel(queued.job_id)
             gate.set()
         assert seen == [JobState.CANCELLED]
+        assert running.state is JobState.SUCCEEDED
 
     def test_callback_exceptions_are_swallowed(self, store):
         def explode(handle):

@@ -33,23 +33,26 @@ def test_wait_all_timeout_returns_false(store):
     gate = threading.Event()
 
     def slow(ctx):
-        gate.wait(10)
+        if not gate.wait(10):
+            raise AssertionError("gate never released")
         return False
 
     with JobScheduler(store) as scheduler:
-        scheduler.submit(
+        handle = scheduler.submit(
             TestJob(slow, state_tables=["s"], loaders=[MessageListLoader([(0, 1)])])
         )
         assert scheduler.wait_all(timeout=0.05) is False
         gate.set()
         assert scheduler.wait_all(timeout=30) is True
+    assert handle.state is JobState.SUCCEEDED
 
 
 def test_shutdown_cancels_queue(store):
     gate = threading.Event()
 
     def slow(ctx):
-        gate.wait(10)
+        if not gate.wait(10):
+            raise AssertionError("gate never released")
         return False
 
     scheduler = JobScheduler(store, max_concurrent=1)

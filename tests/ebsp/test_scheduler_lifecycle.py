@@ -40,7 +40,8 @@ def _job(table: str, fn=None):
 def _gated_job(table: str, started: threading.Event, gate: threading.Event):
     def slow(ctx):
         started.set()
-        gate.wait(10)
+        if not gate.wait(10):
+            raise AssertionError("gate never released")
         return False
 
     return _job(table, slow)
@@ -141,6 +142,7 @@ def test_forget_drops_only_finished_handles(store):
         assert scheduler.forget(running.job_id) is False  # still running
         gate.set()
         assert running.wait(10)
+        assert running.state is JobState.SUCCEEDED
         assert scheduler.forget(running.job_id) is True
         with pytest.raises(JobError):
             scheduler.handle(running.job_id)

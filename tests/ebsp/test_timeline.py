@@ -39,6 +39,32 @@ def test_timeline_tracks_invocations_and_fanout(local_store):
     assert result.timeline[1].records_out == 0
 
 
+def test_raising_on_step_hook_is_counted(local_store):
+    """A failing progress hook does not fail the job, and is not silent:
+    each raise shows up in the job's counters."""
+
+    def fn(ctx):
+        for value in ctx.input_messages():
+            ctx.write_state(0, value)
+            if value < 4:
+                ctx.output_message(ctx.key, value + 1)
+        return False
+
+    def job():
+        return TestJob(fn, loaders=[MessageListLoader([(0, 1)])])
+
+    def hook(metrics):
+        raise RuntimeError(f"monitor down at step {metrics.step}")
+
+    clean = run_job(local_store, job())
+    clean_state = dict(local_store.get_table("state").items())
+    local_store.drop_table("state")
+    result = run_job(local_store, job(), on_step=hook)
+    assert result.counters["on_step_errors"] == result.steps == clean.steps
+    assert "on_step_errors" not in clean.counters
+    assert dict(local_store.get_table("state").items()) == clean_state == {0: 4}
+
+
 def test_async_runs_have_empty_timeline(local_store):
     from repro.ebsp.properties import JobProperties
 

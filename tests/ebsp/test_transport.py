@@ -6,7 +6,9 @@ import threading
 import time
 from concurrent.futures import Future
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.ebsp.transport import (
     CLIENT_SRC,
@@ -17,9 +19,6 @@ from repro.ebsp.transport import (
     SpillWriter,
     collect_step_records,
     create_transport_table,
-    encode_spill,
-    is_compact_spill,
-    iter_spill_records,
     spill_record_count,
 )
 from repro.kvstore.local import LocalKVStore
@@ -39,6 +38,16 @@ def part_of(key):
     return part_for_key(key, 4)
 
 
+def records_of(value):
+    """A sealed spill's records as tuples, messages first."""
+    msg_keys, msg_payloads, cont_keys, creates = value
+    return (
+        [(MSG, k, p) for k, p in zip(msg_keys, msg_payloads)]
+        + [(CONT, k) for k in cont_keys]
+        + [(CREATE, k, tab_idx, state) for k, tab_idx, state in creates]
+    )
+
+
 class TestSpillWriter:
     def test_spill_lands_in_destination_part(self, setup):
         store, transport = setup
@@ -54,7 +63,13 @@ class TestSpillWriter:
     def test_batching_by_size(self, setup):
         store, transport = setup
         writer = SpillWriter(
-            transport, src_part=0, step=0, n_parts=4, part_of=part_of, batch_size=3
+            transport,
+            src_part=0,
+            step=0,
+            n_parts=4,
+            part_of=part_of,
+            batch_size=3,
+            spills_per_batch=1,
         )
         for i in range(7):
             writer.add((MSG, 4, i))  # all to part 0
@@ -133,7 +148,7 @@ class TestPipelinedTransport:
         writer.add((MSG, 4, 10))  # fresh buffer: must NOT merge into the sealed spill
         writer.flush_all()
         spills = sorted(transport.items(), key=lambda kv: kv[0][3])
-        assert [records for _, records in spills] == [
+        assert [records_of(value) for _, value in spills] == [
             [(MSG, 4, 3), (MSG, 8, 3)],
             [(MSG, 4, 10)],
         ]
@@ -159,7 +174,7 @@ class TestPipelinedTransport:
             writer.flush_all()
             # held buffers seal once per destination part at the commit point
             assert len(transport.items()) == 4
-            assert sum(len(records) for _, records in transport.items()) == 12
+            assert sum(spill_record_count(v) for _, v in transport.items()) == 12
             assert writer.records_written == 12
         finally:
             store.close()
@@ -167,7 +182,13 @@ class TestPipelinedTransport:
     def test_discard_after_partial_spills(self, setup):
         store, transport = setup
         writer = SpillWriter(
-            transport, src_part=0, step=0, n_parts=4, part_of=part_of, batch_size=2
+            transport,
+            src_part=0,
+            step=0,
+            n_parts=4,
+            part_of=part_of,
+            batch_size=2,
+            spills_per_batch=1,
         )
         writer.add((MSG, 4, "a"))
         writer.add((MSG, 4, "b"))  # sealed and dispatched (spills_per_batch=1)
@@ -175,7 +196,7 @@ class TestPipelinedTransport:
         writer.discard()
         # the dispatched spill is already out — matching the eager
         # pre-pipeline semantics — but the buffered record is gone
-        assert [records for _, records in transport.items()] == [
+        assert [records_of(value) for _, value in transport.items()] == [
             [(MSG, 4, "a"), (MSG, 4, "b")]
         ]
         assert writer.records_written == 2
@@ -220,7 +241,7 @@ class TestPipelinedTransport:
             spills = sorted(transport.items(), key=lambda kv: kv[0][3])
             # contiguous sequence numbers, records in add() order
             assert [key[3] for key, _ in spills] == list(range(40))
-            assert [records[0][2] for _, records in spills] == list(range(40))
+            assert [records_of(value)[0][2] for _, value in spills] == list(range(40))
         finally:
             store.close()
 
@@ -241,23 +262,6 @@ class TestPipelinedTransport:
         assert writer.spills_sealed == 16
         assert writer.batches_dispatched == 4  # 4 spills per marshalled request
         assert len(transport.items()) == 16
-
-    def test_blocking_mode_writes_synchronously(self, setup):
-        store, transport = setup
-        writer = SpillWriter(
-            transport,
-            src_part=0,
-            step=0,
-            n_parts=4,
-            part_of=part_of,
-            batch_size=1,
-            pipelined=False,
-        )
-        writer.add((MSG, 4, "x"))
-        assert len(transport.items()) == 1  # landed before flush_all
-        writer.flush_all()
-        assert writer.batches_dispatched == 1
-        assert writer.in_flight_hwm == 0
 
     def test_in_flight_window_is_bounded(self):
         """With a slow table the writer must block once the window fills."""
@@ -322,67 +326,107 @@ class TestPipelinedTransport:
         assert table.max_pending <= 4
 
 
+def _collect_all(transport, combiner):
+    """Every part's bundles for step 0, merged (parts hold disjoint keys)."""
+    bundles = {}
+    for part in range(4):
+        found, _ = collect_step_records(transport._parts[part], 0, combiner)
+        bundles.update(found)
+    return {
+        key: (b.messages, b.enabled, b.created) for key, b in bundles.items()
+    }
+
+
+_record = st.one_of(
+    st.tuples(st.just(MSG), st.integers(0, 11), st.integers(-50, 50)),
+    st.tuples(st.just(CONT), st.integers(0, 11)),
+    st.tuples(
+        st.just(CREATE), st.integers(0, 11), st.integers(0, 1), st.integers(0, 9)
+    ),
+)
+
+
+def _add(a, b):
+    return a + b
+
+
 class TestCompactCodec:
-    RECORDS = [
-        (MSG, 4, "hello"),
-        (CONT, 2),
-        (MSG, 8, "world"),
-        (CREATE, 3, 0, {"s": 1}),
-        (MSG, 4, "again"),
-    ]
+    """The compact (struct-of-arrays) spill, the one spill format:
+    ``(msg_keys, msg_payloads, cont_keys, creates)`` columns, filled by
+    ``SpillWriter.add`` as records arrive."""
 
-    def test_roundtrip_preserves_records(self):
-        encoded = encode_spill(self.RECORDS)
-        assert is_compact_spill(encoded)
-        decoded = list(iter_spill_records(encoded))
-        # per-kind relative order is preserved; set equality plus
-        # message order is the delivery contract
-        assert sorted(map(repr, decoded)) == sorted(map(repr, self.RECORDS))
-        messages = [r for r in decoded if r[0] == MSG]
-        assert messages == [(MSG, 4, "hello"), (MSG, 8, "world"), (MSG, 4, "again")]
+    @settings(max_examples=60, deadline=None)
+    @given(
+        records=st.lists(_record, max_size=40),
+        batch_size=st.integers(1, 6),
+        combine=st.booleans(),
+    )
+    def test_roundtrip_preserves_records(self, records, batch_size, combine):
+        """Random record sequences, sealed at random boundaries and
+        optionally combined sender-side, collect to the same bundles and
+        per-destination message order as the records sent one by one."""
+        combiner = _add if combine else None
+        expected = {}
+        for record in records:
+            messages, enabled, created = expected.setdefault(
+                record[1], ([], False, [])
+            )
+            if record[0] == MSG:
+                messages.append(record[2])
+            elif record[0] == CREATE:
+                created.append((record[2], record[3]))
+            if record[0] != CREATE:
+                expected[record[1]] = (messages, True, created)
+        if combine:
+            expected = {
+                key: ([sum(messages)] if messages else [], enabled, created)
+                for key, (messages, enabled, created) in expected.items()
+            }
+        for size in (batch_size, 1):
+            with LocalKVStore(default_n_parts=4) as store:
+                transport = create_transport_table(store, "xport", 4)
+                writer = SpillWriter(
+                    transport,
+                    src_part=0,
+                    step=0,
+                    n_parts=4,
+                    part_of=part_of,
+                    batch_size=size,
+                    combiner=combiner,
+                )
+                for record in records:
+                    writer.add(record)
+                writer.flush_all()
+                sealed = sum(spill_record_count(v) for _, v in transport.items())
+                assert sealed == writer.records_written
+                assert sealed == len(records) - writer.messages_combined
+                assert _collect_all(transport, combiner) == expected
 
-    def test_record_count_both_codecs(self):
-        assert spill_record_count(self.RECORDS) == 5
-        assert spill_record_count(encode_spill(self.RECORDS)) == 5
-
-    def test_raw_list_passes_through(self):
-        assert not is_compact_spill(self.RECORDS)
-        assert list(iter_spill_records(self.RECORDS)) == self.RECORDS
-
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError):
-            encode_spill([("?", 0)])
+    def test_unknown_kind_rejected(self, setup):
+        store, transport = setup
+        writer = SpillWriter(transport, src_part=0, step=0, n_parts=4, part_of=part_of)
+        with pytest.raises(ValueError, match="unknown transport record kind"):
+            writer.add(("?", 0))
+        writer.flush_all()
+        assert transport.items() == []
+        assert writer.records_written == 0
 
     def test_compact_writer_spills_are_collectable(self, setup):
         store, transport = setup
-        writer = SpillWriter(
-            transport, src_part=0, step=0, n_parts=4, part_of=part_of, compact=True
-        )
+        writer = SpillWriter(transport, src_part=0, step=0, n_parts=4, part_of=part_of)
         writer.add((MSG, 0, "m"))
         writer.add((CONT, 4))
         writer.add((CREATE, 8, 0, "state"))
         writer.flush_all()
-        for _, value in transport.items():
-            assert is_compact_spill(value)
+        ((_, value),) = transport.items()  # keys 0, 4, 8 all live in part 0
+        assert value == ([0], ["m"], [4], [(8, 0, "state")])
         view = transport._parts[0]
         bundles, _ = collect_step_records(view, 0, None)
         assert bundles[0].messages == ["m"] and bundles[0].enabled
         assert bundles[4].enabled and bundles[4].messages == []
         assert bundles[8].created == [(0, "state")]
 
-    def test_codec_byte_sample_recorded(self, setup):
-        store, transport = setup
-        writer = SpillWriter(
-            transport, src_part=0, step=0, n_parts=4, part_of=part_of, compact=True
-        )
-        for i in range(64):
-            writer.add((MSG, 0, i))
-        writer.flush_all()
-        assert writer.codec_sample_compact_bytes > 0
-        # struct-of-arrays drops the per-record tuple overhead
-        assert writer.codec_sample_compact_bytes < writer.codec_sample_raw_bytes
-
-    def test_discard_accounts_compact_spills(self, setup):
+    def test_discard_accounts_sealed_spills(self, setup):
         store, transport = setup
         writer = SpillWriter(
             transport,
@@ -390,16 +434,20 @@ class TestCompactCodec:
             step=0,
             n_parts=4,
             part_of=part_of,
-            batch_size=1,
+            batch_size=2,
             spills_per_batch=8,
-            compact=True,
         )
-        writer.add((MSG, 4, "x"))  # sealed (encoded) but not dispatched
-        writer.add((CONT, 4))
+        writer.add((MSG, 4, "x"))
+        writer.add((CONT, 4))  # seals a two-record spill, not dispatched
+        writer.add_message_batch(np.asarray([0, 8]), np.asarray([1.0, 2.0]))
+        writer.add((CREATE, 12, 0, "s"))  # still buffered
+        assert writer.spills_sealed == 2 and writer.records_written == 4
         writer.discard()
         assert transport.items() == []
         assert writer.records_written == 0
         assert writer.spills_sealed == 0
+        writer.flush_all()
+        assert transport.items() == []
 
 
 class TestCollect:
@@ -433,13 +481,6 @@ class TestCollect:
         bundles, _ = collect_step_records(view, 0, None)
         assert not bundles[0].enabled
         assert bundles[0].created == [(0, "state")]
-
-    def test_unknown_kind_rejected(self, setup):
-        store, transport = setup
-        transport.put((0, 0, 0, 0), [("?", 0)])
-        view = transport._parts[0]
-        with pytest.raises(ValueError):
-            collect_step_records(view, 0, None)
 
 
 class TestCombiningBundle:

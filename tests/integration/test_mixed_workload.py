@@ -88,14 +88,20 @@ class TestOltpAlongsideAnalytics:
 
         from repro.kvstore.api import FnPartConsumer
 
+        scan_errors = []
+
         def slow_scan():
             def process(part, view):
                 if part == 0:
                     slow_started.set()
-                    release.wait(10)
+                    if not release.wait(10):
+                        raise AssertionError("scan never released")
                 return 0
 
-            table.enumerate_parts(FnPartConsumer(process, lambda a, b: 0))
+            try:
+                table.enumerate_parts(FnPartConsumer(process, lambda a, b: 0))
+            except Exception as exc:  # surfaced by the test thread
+                scan_errors.append(exc)
 
         scanner = threading.Thread(target=slow_scan)
         scanner.start()
@@ -109,3 +115,5 @@ class TestOltpAlongsideAnalytics:
         finally:
             release.set()
             scanner.join(timeout=10)
+        assert not scanner.is_alive()
+        assert scan_errors == []
